@@ -4,7 +4,8 @@
 // LP with all multi-way informations non-negative): equal without FDs and
 // with simple keys, s >= C with compound FDs. Also reports the exact-
 // arithmetic cost (LP size and pivot counts) -- the ablation for carrying
-// rationals instead of floats.
+// rationals instead of floats -- and times the entropy LP of the 4- to
+// 7-cycle, where the LP roughly doubles per added variable.
 
 #include "bench/bench_util.h"
 #include "core/color_number.h"
@@ -81,6 +82,29 @@ void PrintTables() {
   diagram.Print();
   std::cout << "\n";
 }
+
+// Entropy LP of the k-cycle (k variables, no FDs): 2^k - 1 h-variables and
+// k + k(k-1)2^(k-3) elemental rows, so each step roughly doubles the LP.
+Query CycleQuery(int k) {
+  std::string head, body;
+  for (int i = 0; i < k; ++i) {
+    const std::string var(1, static_cast<char>('A' + i));
+    const std::string next(1, static_cast<char>('A' + (i + 1) % k));
+    head += (i ? "," : "") + var;
+    body += (i ? ", R" : "R") + std::to_string(i) + "(" + var + "," + next +
+            ")";
+  }
+  return *ParseQuery("Q(" + head + ") :- " + body + ".");
+}
+
+CQB_BENCH_TIMED("entropy_lp/4-cycle",
+                [] { EntropySizeBound(CycleQuery(4)).ValueOrDie(); })
+CQB_BENCH_TIMED("entropy_lp/5-cycle",
+                [] { EntropySizeBound(CycleQuery(5)).ValueOrDie(); })
+CQB_BENCH_TIMED("entropy_lp/6-cycle",
+                [] { EntropySizeBound(CycleQuery(6)).ValueOrDie(); })
+CQB_BENCH_TIMED("entropy_lp/7-cycle",
+                [] { EntropySizeBound(CycleQuery(7)).ValueOrDie(); })
 
 void BM_EntropyLp(benchmark::State& state) {
   auto q = ParseQuery(kCases[state.range(0)].text);

@@ -83,21 +83,10 @@ Result<FloatLpSolution> SolveLpFloat(const LpProblem& problem, double eps) {
 
   int num_slack = 0;
   int num_artificial = 0;
-  std::vector<int> sign(m, 1);
-  std::vector<ConstraintSense> senses(m);
+  std::vector<TableauRow> rows(m);
   for (int i = 0; i < m; ++i) {
-    const LpConstraint& c = problem.constraints()[i];
-    ConstraintSense sense = c.sense;
-    if (c.rhs.Sign() < 0) {
-      sign[i] = -1;
-      if (sense == ConstraintSense::kLessEq) {
-        sense = ConstraintSense::kGreaterEq;
-      } else if (sense == ConstraintSense::kGreaterEq) {
-        sense = ConstraintSense::kLessEq;
-      }
-    }
-    senses[i] = sense;
-    switch (sense) {
+    rows[i] = NormalizeForTableau(problem.constraints()[i]);
+    switch (rows[i].sense) {
       case ConstraintSense::kLessEq:
         ++num_slack;
         break;
@@ -120,10 +109,10 @@ Result<FloatLpSolution> SolveLpFloat(const LpProblem& problem, double eps) {
   for (int i = 0; i < m; ++i) {
     const LpConstraint& c = problem.constraints()[i];
     for (const LpTerm& t : c.terms) {
-      tab.At(i, t.var) += sign[i] * t.coef.ToDouble();
+      tab.At(i, t.var) += rows[i].sign * t.coef.ToDouble();
     }
-    tab.Rhs(i) = sign[i] * c.rhs.ToDouble();
-    switch (senses[i]) {
+    tab.Rhs(i) = rows[i].sign * c.rhs.ToDouble();
+    switch (rows[i].sense) {
       case ConstraintSense::kLessEq: {
         int s = next_slack++;
         tab.At(i, s) = 1.0;

@@ -14,8 +14,9 @@ struct FloatLpSolution {
 };
 
 /// Double-precision counterpart of SolveLp, used ONLY for the exactness
-/// ablation (bench_a1_exact_vs_float): same two-phase dense tableau and
-/// Bland's rule, but with double arithmetic and an epsilon dead-band.
+/// ablation (bench_a1_exact_vs_float): same two-phase dense tableau, same
+/// row normalization (NormalizeForTableau) and Bland's rule, but with double
+/// arithmetic and an epsilon dead-band.
 ///
 /// The library's bound computations never use this solver -- color numbers
 /// are small-denominator rationals and the paper's tightness statements are

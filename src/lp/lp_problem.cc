@@ -27,4 +27,19 @@ void LpProblem::AddConstraint(std::vector<LpTerm> terms, ConstraintSense sense,
   constraints_.push_back(LpConstraint{std::move(terms), sense, std::move(rhs)});
 }
 
+TableauRow NormalizeForTableau(const LpConstraint& constraint) {
+  TableauRow row{1, constraint.sense};
+  const int rhs_sign = constraint.rhs.Sign();
+  if (rhs_sign < 0 ||
+      (rhs_sign == 0 && constraint.sense == ConstraintSense::kGreaterEq)) {
+    row.sign = -1;
+    if (row.sense == ConstraintSense::kLessEq) {
+      row.sense = ConstraintSense::kGreaterEq;
+    } else if (row.sense == ConstraintSense::kGreaterEq) {
+      row.sense = ConstraintSense::kLessEq;
+    }
+  }
+  return row;
+}
+
 }  // namespace cqbounds

@@ -65,6 +65,21 @@ class LpProblem {
   std::vector<LpConstraint> constraints_;
 };
 
+/// How both simplex solvers (SolveLp, SolveLpFloat) enter a constraint into
+/// their tableau: the row is multiplied by `sign` (+1 or -1) and then reads
+/// `row (sense) sign * rhs` with a non-negative right-hand side.
+///
+/// A row is flipped when its rhs is negative, and also when it is a
+/// homogeneous `a.x >= 0`: as `-a.x <= 0` its slack starts in the basis at
+/// value 0, so the row needs no artificial column and no phase-1 work. The
+/// elemental Shannon rows of the entropy LP (Prop 6.9) are all of that kind.
+/// Phase 1 is left with the `==` rows and the `>=` rows with positive rhs.
+struct TableauRow {
+  int sign = 1;
+  ConstraintSense sense = ConstraintSense::kLessEq;
+};
+TableauRow NormalizeForTableau(const LpConstraint& constraint);
+
 /// Optimal solution of an LpProblem.
 struct LpSolution {
   /// Objective value at the optimum.

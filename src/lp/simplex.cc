@@ -32,20 +32,21 @@ class Tableau {
   int basis(int row) const { return basis_[row]; }
   void set_basis(int row, int col) { basis_[row] = col; }
 
-  /// Gauss-Jordan pivot on (pivot_row, pivot_col).
+  /// Gauss-Jordan pivot on (pivot_row, pivot_col). Only the pivot row's
+  /// non-zero columns can change the other rows, so they are gathered once.
   void Pivot(int pivot_row, int pivot_col) {
     Rational inv = Rational(1) / At(pivot_row, pivot_col);
+    pivot_nonzeros_.clear();
     for (int c = 0; c <= total_cols_; ++c) {
-      if (!At(pivot_row, c).IsZero()) At(pivot_row, c) *= inv;
+      if (At(pivot_row, c).IsZero()) continue;
+      At(pivot_row, c) *= inv;
+      pivot_nonzeros_.push_back(c);
     }
     for (int r = 0; r <= num_rows_; ++r) {
       if (r == pivot_row) continue;
       Rational factor = At(r, pivot_col);
       if (factor.IsZero()) continue;
-      for (int c = 0; c <= total_cols_; ++c) {
-        const Rational& src = At(pivot_row, c);
-        if (!src.IsZero()) At(r, c) -= factor * src;
-      }
+      for (int c : pivot_nonzeros_) At(r, c) -= factor * At(pivot_row, c);
     }
     basis_[pivot_row] = pivot_col;
   }
@@ -90,6 +91,7 @@ class Tableau {
   int total_cols_;
   std::vector<Rational> cells_;
   std::vector<int> basis_;
+  std::vector<int> pivot_nonzeros_;  // scratch for Pivot
 };
 
 }  // namespace
@@ -98,24 +100,15 @@ Result<LpSolution> SolveLp(const LpProblem& problem) {
   const int n = problem.num_variables();
   const int m = problem.num_constraints();
 
-  // Count auxiliary columns. Every row gets its rows normalized to rhs >= 0
-  // first; then <= rows get a slack (which can serve as the initial basis),
-  // >= rows get a surplus plus an artificial, == rows get an artificial.
+  // Count auxiliary columns. Rows are normalized first (NormalizeForTableau);
+  // then <= rows get a slack (which can serve as the initial basis), >= rows
+  // get a surplus plus an artificial, == rows get an artificial.
   int num_slack = 0;
   int num_artificial = 0;
-  std::vector<int> sign(m, 1);
+  std::vector<TableauRow> rows(m);
   for (int i = 0; i < m; ++i) {
-    const LpConstraint& c = problem.constraints()[i];
-    ConstraintSense sense = c.sense;
-    if (c.rhs.Sign() < 0) {
-      sign[i] = -1;
-      if (sense == ConstraintSense::kLessEq) {
-        sense = ConstraintSense::kGreaterEq;
-      } else if (sense == ConstraintSense::kGreaterEq) {
-        sense = ConstraintSense::kLessEq;
-      }
-    }
-    switch (sense) {
+    rows[i] = NormalizeForTableau(problem.constraints()[i]);
+    switch (rows[i].sense) {
       case ConstraintSense::kLessEq:
         ++num_slack;
         break;
@@ -139,19 +132,12 @@ Result<LpSolution> SolveLp(const LpProblem& problem) {
 
   for (int i = 0; i < m; ++i) {
     const LpConstraint& c = problem.constraints()[i];
+    const bool flip = rows[i].sign < 0;
     for (const LpTerm& t : c.terms) {
-      tab.At(i, t.var) += sign[i] > 0 ? t.coef : -t.coef;
+      tab.At(i, t.var) += flip ? -t.coef : t.coef;
     }
-    tab.Rhs(i) = sign[i] > 0 ? c.rhs : -c.rhs;
-    ConstraintSense sense = c.sense;
-    if (sign[i] < 0) {
-      if (sense == ConstraintSense::kLessEq) {
-        sense = ConstraintSense::kGreaterEq;
-      } else if (sense == ConstraintSense::kGreaterEq) {
-        sense = ConstraintSense::kLessEq;
-      }
-    }
-    switch (sense) {
+    tab.Rhs(i) = flip ? -c.rhs : c.rhs;
+    switch (rows[i].sense) {
       case ConstraintSense::kLessEq: {
         int s = next_slack++;
         tab.At(i, s) = Rational(1);

@@ -7,7 +7,9 @@
 namespace cqbounds {
 
 /// Solves `problem` with the two-phase dense tableau simplex method over
-/// exact rationals, using Bland's anti-cycling rule.
+/// exact rationals, using Bland's anti-cycling rule. Rows enter the tableau
+/// as NormalizeForTableau says, so homogeneous `>= 0` rows start in a slack
+/// basis and only `==` rows and `>=` rows with positive rhs need phase 1.
 ///
 /// Returns:
 ///   - the optimal `LpSolution` on success;

@@ -10,10 +10,11 @@ namespace cqbounds {
 
 /// Arbitrary-precision signed integer (sign-magnitude, base 2^32 limbs).
 ///
-/// The exact rational simplex solver (`src/lp`) pivots on rationals whose
-/// numerators/denominators can grow beyond 64 bits on dense LPs (e.g. the
-/// entropy LP of Proposition 6.9 with 2^k variables), so the library carries
-/// its own bignum instead of risking silent int64 overflow.
+/// `Rational` holds its numerator and denominator inline as int64 and falls
+/// back to a BigInt pair only when an overflow-checked operation does not
+/// fit (see util/rational.h). The bignum therefore serves just that
+/// fallback: it is what keeps the exact simplex (`src/lp`) exact instead of
+/// silently wrapping on an LP whose pivots outgrow 64 bits.
 ///
 /// Value semantics; copy/move are defaulted. Zero is canonically represented
 /// by an empty limb vector and `negative_ == false`.

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "core/color_number.h"
 #include "core/entropy_bound.h"
 #include "cq/chase.h"
@@ -85,6 +87,28 @@ TEST(EntropyBoundTest, FdsTightenTheBound) {
   ASSERT_TRUE(s_keyed.ok());
   EXPECT_EQ(s_unkeyed->value, Rational(2));
   EXPECT_EQ(s_keyed->value, Rational(1));
+}
+
+TEST(EntropyBoundTest, LongCyclesMatchColorNumber) {
+  // The cycle C_k has C = k/2 (Example 3.3 generalized); with no FDs the
+  // Shannon LP meets it. 63 and 127 h-variables respectively.
+  const std::pair<const char*, Rational> cases[] = {
+      {"Q(A,B,C,D,E,F) :- R(A,B), S(B,C), T(C,D), U(D,E), V(E,F), W(F,A).",
+       Rational(3)},
+      {"Q(A,B,C,D,E,F,G) :- R(A,B), S(B,C), T(C,D), U(D,E), V(E,F), W(F,G), "
+       "X(G,A).",
+       Rational(7, 2)},
+  };
+  for (const auto& [text, expected] : cases) {
+    auto q = ParseQuery(text);
+    ASSERT_TRUE(q.ok());
+    auto s = EntropySizeBound(Chase(*q));
+    auto c = ColorNumberOfChase(*q);
+    ASSERT_TRUE(s.ok()) << s.status() << " " << text;
+    ASSERT_TRUE(c.ok());
+    EXPECT_EQ(c->value, expected) << text;
+    EXPECT_EQ(s->value, c->value) << text;
+  }
 }
 
 TEST(EntropyBoundTest, GuardOnLargeQueries) {

@@ -4,9 +4,11 @@
 
 #include "core/color_number.h"
 #include "cq/parser.h"
+#include "entropy/entropy_vector.h"
 #include "lp/float_simplex.h"
 #include "lp/simplex.h"
 #include "util/rng.h"
+#include "util/subset.h"
 
 namespace cqbounds {
 namespace {
@@ -111,6 +113,46 @@ TEST(FloatSimplexTest, ColorNumberLpsAgree) {
     ASSERT_TRUE(exact.ok());
     ASSERT_TRUE(approx.ok());
     EXPECT_NEAR(approx->objective, exact->objective.ToDouble(), 1e-9) << text;
+  }
+}
+
+TEST(FloatSimplexTest, HomogeneousRowsFollowTheExactPivotPath) {
+  // The Prop 6.9 entropy LP of the triangle, keyed (h(XYZ) = h(XY)) and
+  // unkeyed: elemental Shannon rows are homogeneous `>= 0` rows, which both
+  // solvers negate into slack-basis `<= 0` rows. With the same tableau and
+  // Bland's rule the float solver must take exactly the exact solver's path.
+  for (bool keyed : {false, true}) {
+    const int n = 3;
+    const SubsetMask full = FullSet(n);
+    LpProblem lp(true);
+    std::vector<int> h(static_cast<std::size_t>(full) + 1, -1);
+    for (SubsetMask s = 1; s <= full; ++s) h[s] = lp.AddVariable();
+    lp.SetObjectiveCoef(h[full], Rational(1));
+    for (SubsetMask atom : {0b011u, 0b101u, 0b110u}) {
+      lp.AddConstraint({{h[atom], Rational(1)}}, ConstraintSense::kLessEq,
+                       Rational(1));
+    }
+    if (keyed) {
+      lp.AddConstraint({{h[full], Rational(1)}, {h[0b011], Rational(-1)}},
+                       ConstraintSense::kEqual, Rational(0));
+    }
+    for (const ElementalInequality& ineq : ElementalShannonInequalities(n)) {
+      std::vector<LpTerm> terms;
+      for (SubsetMask s : ineq.plus) terms.push_back({h[s], Rational(1)});
+      for (SubsetMask s : ineq.minus) terms.push_back({h[s], Rational(-1)});
+      lp.AddConstraint(std::move(terms), ConstraintSense::kGreaterEq,
+                       Rational(0));
+    }
+    auto exact = SolveLp(lp);
+    auto approx = SolveLpFloat(lp);
+    ASSERT_TRUE(exact.ok()) << exact.status();
+    ASSERT_TRUE(approx.ok()) << approx.status();
+    EXPECT_EQ(exact->objective, keyed ? Rational(1) : Rational(3, 2));
+    EXPECT_NEAR(approx->objective, exact->objective.ToDouble(), 1e-9);
+    EXPECT_EQ(approx->pivots, exact->pivots) << "keyed=" << keyed;
+    for (std::size_t v = 0; v < exact->values.size(); ++v) {
+      EXPECT_NEAR(approx->values[v], exact->values[v].ToDouble(), 1e-9);
+    }
   }
 }
 

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "lp/float_simplex.h"
 #include "lp/simplex.h"
 #include "util/rng.h"
 
@@ -209,6 +210,152 @@ TEST_P(SimplexDualityTest, StrongDualityOnRandomLps) {
 
 INSTANTIATE_TEST_SUITE_P(RandomSeeds, SimplexDualityTest,
                          ::testing::Range(1, 40));
+
+// Random LPs mixing every row shape the solver normalizes differently:
+// `<=` rows (slack basis), homogeneous `>= 0` rows (negated into `<= 0`, no
+// artificial), `== 0` rows and `>=` rows with positive rhs (both phase 1).
+// Each result is checked three ways: the returned point satisfies every
+// constraint exactly, the optimum agrees with the float solver, and the
+// explicit dual (y >= 0 on <=, y <= 0 on >=, free on ==) attains the same
+// value -- or is infeasible when the primal is unbounded.
+LpProblem RandomMixedLp(Rng& rng) {
+  LpProblem lp(true);
+  const int n = 2 + static_cast<int>(rng.NextBelow(4));
+  const int m = 2 + static_cast<int>(rng.NextBelow(5));
+  for (int j = 0; j < n; ++j) {
+    lp.SetObjectiveCoef(lp.AddVariable(), Rational(rng.NextInRange(-2, 5)));
+  }
+  for (int i = 0; i < m; ++i) {
+    std::vector<LpTerm> terms;
+    for (int j = 0; j < n; ++j) {
+      terms.push_back({j, Rational(rng.NextInRange(-3, 4))});
+    }
+    switch (rng.NextBelow(4)) {
+      case 0:
+        lp.AddConstraint(std::move(terms), ConstraintSense::kLessEq,
+                         Rational(rng.NextInRange(0, 9)));
+        break;
+      case 1:
+        lp.AddConstraint(std::move(terms), ConstraintSense::kGreaterEq,
+                         Rational(0));
+        break;
+      case 2:
+        lp.AddConstraint(std::move(terms), ConstraintSense::kEqual,
+                         Rational(0));
+        break;
+      default:
+        lp.AddConstraint(std::move(terms), ConstraintSense::kGreaterEq,
+                         Rational(rng.NextInRange(1, 5)));
+        break;
+    }
+  }
+  // Usually cap the feasible region so most draws have an optimum.
+  if (rng.NextBool(3, 4)) {
+    std::vector<LpTerm> box;
+    for (int j = 0; j < n; ++j) box.push_back({j, Rational(1)});
+    lp.AddConstraint(std::move(box), ConstraintSense::kLessEq,
+                     Rational(rng.NextInRange(1, 12)));
+  }
+  return lp;
+}
+
+// min b.y  s.t.  A^T y >= c, with y_i = +u_i (<=), -u_i (>=), p_i - q_i (==)
+// over non-negative u, p, q.
+LpProblem DualOf(const LpProblem& primal) {
+  LpProblem dual(false);
+  std::vector<std::vector<LpTerm>> columns(primal.num_variables());
+  for (const LpConstraint& row : primal.constraints()) {
+    std::vector<int> signs;
+    if (row.sense == ConstraintSense::kLessEq) signs = {1};
+    if (row.sense == ConstraintSense::kGreaterEq) signs = {-1};
+    if (row.sense == ConstraintSense::kEqual) signs = {1, -1};
+    for (int sign : signs) {
+      const int y = dual.AddVariable();
+      dual.SetObjectiveCoef(y, Rational(sign) * row.rhs);
+      for (const LpTerm& t : row.terms) {
+        columns[t.var].push_back({y, Rational(sign) * t.coef});
+      }
+    }
+  }
+  for (int j = 0; j < primal.num_variables(); ++j) {
+    dual.AddConstraint(columns[j], ConstraintSense::kGreaterEq,
+                       primal.objective()[j]);
+  }
+  return dual;
+}
+
+void ExpectSatisfiesExactly(const LpProblem& problem,
+                            const std::vector<Rational>& x) {
+  for (const Rational& v : x) EXPECT_GE(v, Rational(0));
+  for (const LpConstraint& row : problem.constraints()) {
+    Rational lhs(0);
+    for (const LpTerm& t : row.terms) lhs += t.coef * x[t.var];
+    switch (row.sense) {
+      case ConstraintSense::kLessEq:
+        EXPECT_LE(lhs, row.rhs);
+        break;
+      case ConstraintSense::kGreaterEq:
+        EXPECT_GE(lhs, row.rhs);
+        break;
+      case ConstraintSense::kEqual:
+        EXPECT_EQ(lhs, row.rhs);
+        break;
+    }
+  }
+}
+
+class MixedRowLpTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(MixedRowLpTest, FeasibleFloatConsistentAndDual) {
+  Rng rng(GetParam() * 7919 + 3);
+  int optimal = 0;
+  for (int trial = 0; trial < 40; ++trial) {
+    const LpProblem primal = RandomMixedLp(rng);
+    auto exact = SolveLp(primal);
+    auto approx = SolveLpFloat(primal);
+    ASSERT_EQ(exact.ok(), approx.ok()) << "trial " << trial;
+    if (!exact.ok()) {
+      EXPECT_EQ(exact.status().code(), approx.status().code());
+      if (exact.status().code() == StatusCode::kUnbounded) {
+        EXPECT_EQ(SolveLp(DualOf(primal)).status().code(),
+                  StatusCode::kInfeasible);
+      }
+      continue;
+    }
+    ++optimal;
+    ExpectSatisfiesExactly(primal, exact->values);
+    Rational z(0);
+    for (int j = 0; j < primal.num_variables(); ++j) {
+      z += primal.objective()[j] * exact->values[j];
+    }
+    EXPECT_EQ(exact->objective, z);
+    EXPECT_NEAR(approx->objective, exact->objective.ToDouble(), 1e-6);
+    auto dual = SolveLp(DualOf(primal));
+    ASSERT_TRUE(dual.ok()) << dual.status();
+    EXPECT_EQ(dual->objective, exact->objective) << "trial " << trial;
+  }
+  EXPECT_GT(optimal, 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, MixedRowLpTest, ::testing::Range(1, 9));
+
+TEST(SimplexTest, HomogeneousRowsNeedNoPhaseOne) {
+  // max x + y s.t. x - y >= 0, x <= 3, y <= 2: every row starts with a
+  // slack basis, so only the two phase-2 pivots run.
+  LpProblem lp(true);
+  int x = lp.AddVariable();
+  int y = lp.AddVariable();
+  lp.SetObjectiveCoef(x, Rational(1));
+  lp.SetObjectiveCoef(y, Rational(1));
+  lp.AddConstraint({{x, Rational(1)}, {y, Rational(-1)}},
+                   ConstraintSense::kGreaterEq, Rational(0));
+  lp.AddConstraint({{x, Rational(1)}}, ConstraintSense::kLessEq, Rational(3));
+  lp.AddConstraint({{y, Rational(1)}}, ConstraintSense::kLessEq, Rational(2));
+  auto result = SolveLp(lp);
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_EQ(result->objective, Rational(5));
+  EXPECT_EQ(result->pivots, 2);
+}
 
 }  // namespace
 }  // namespace cqbounds
