@@ -1,13 +1,13 @@
 // E12 -- the plan-shape cache: warm hybrid evaluations without re-probing.
 //
 // E11 removed the per-call trie rebuild; the hybrid Yannakakis plan still
-// paid full planning price per call -- every EvaluateHybridYannakakis
-// re-ran the exact-treewidth probe on the variable-intersection graph and
-// re-scanned every atom relation for the semi-join reduction pass, even
-// when nothing had changed. The EvalContext *plan tier* memoizes the probe
-// (certified width, decomposition, binding order) by query shape, and
-// after a reduction pass that dropped nothing it records the relation
-// generations so the pass is skipped outright while they stand still.
+// paid full planning price per call -- every hybrid evaluation re-ran the
+// exact-treewidth probe on the variable-intersection graph and re-scanned
+// every atom relation for the semi-join reduction pass, even when nothing
+// had changed. The EvalContext *plan tier* memoizes the probe (certified
+// width, decomposition, binding order) by query shape, and caches the
+// reduction's outcome keyed by the relation generations, so the pass is
+// skipped outright while they stand still.
 //
 // The tables below show the counters (deterministic): a warm run on
 // unchanged generations performs zero TreewidthExact calls, zero

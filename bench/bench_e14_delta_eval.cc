@@ -5,23 +5,25 @@
 // experiment measures the mutating workload: a warm 10^4-tuple instance
 // takes k appended tuples (k = 1, 10, 100) and re-evaluates. The delta
 // machinery must serve every refresh by *patching* the stale cached tries
-// (merging the k-tuple sorted delta into the cached key stream) and, on
+// (the delta constructor merging the k-tuple sorted delta into the cached
+// key stream, with nothing to subtract) and, on
 // the hybrid path, by extending the cached clean semi-join state in
 // O(k) -- never by re-sorting the whole relation or re-scanning the
 // database. The headline invariant is asserted in-bench: after a
 // single-tuple append on the warm instance, trie_rebuilds == 0 and
-// trie_patches >= 1. A Remove is the contrast row: the append floor
-// moves so the pure patch path is out, but the removal tombstones and the
-// refresh is an *unpatch* (subtract the removed keys' support), still not
-// a rebuild. E16 (bench_e16_deletion_delta.cc) measures the removal
-// workload in depth.
+// trie_patches >= 1. A Remove is the contrast row: the window now has a
+// removed side, but the removal tombstones and the refresh is an *unpatch*
+// (subtract the removed keys' support), still not a rebuild. E16
+// (bench_e16_deletion_delta.cc) measures the removal workload in depth.
 //
 // The tables are deterministic (appended edges connect fresh isolated
 // vertices, or a fresh vertex to a fixed hub, so output counts are exact);
 // wall times live in the timed sections, pairing each patched re-eval with
-// its from-scratch contrast.
+// its from-scratch contrast, plus refresh timers that isolate the delta
+// constructor from evaluation.
 
 #include <iostream>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -29,6 +31,7 @@
 #include "cq/parser.h"
 #include "relation/eval_context.h"
 #include "relation/evaluate.h"
+#include "relation/trie_index.h"
 
 namespace cqbounds {
 namespace {
@@ -105,7 +108,66 @@ EvalContext& ChCtx() {
   return ctx;
 }
 
+/// A refresh-constructor fixture: a two-column relation of `n` distinct
+/// keys, its trie, and the journal window of a mutation on top -- so the
+/// refresh timers time the delta constructor alone, with no evaluation.
+struct RefreshFixture {
+  Relation rel{"E", 2};
+  std::unique_ptr<TrieIndex> base;
+  RowView appended;
+  RowView removed;
+};
+
+const std::vector<std::vector<int>> kRefreshLayout = {{0}, {1}};
+
+/// `appends` rows interleave with the base keys (fresh level-1 values under
+/// existing level-0 values); `removes` rows are spread across the base.
+std::unique_ptr<RefreshFixture> MakeRefreshFixture(int n, int appends,
+                                                   int removes) {
+  auto f = std::make_unique<RefreshFixture>();
+  for (int i = 0; i < n; ++i) f->rel.Insert({i, i % 97});
+  f->base = std::make_unique<TrieIndex>(f->rel, kRefreshLayout);
+  const std::uint64_t snapshot = f->rel.generation();
+  for (int k = 0; k < appends; ++k) {
+    CQB_CHECK(f->rel.Insert({(k + 1) * (n / (appends + 1)), 1000 + k}));
+  }
+  for (int k = 0; k < removes; ++k) {
+    const int i = k * (n / removes) + 1;
+    CQB_CHECK(f->rel.Remove({i, i % 97}));
+  }
+  CQB_CHECK(f->rel.compactions() == 0);
+  Relation::DeltaSet delta;
+  CQB_CHECK(f->rel.DeltasSince(snapshot, &delta));
+  f->appended = RowView(&f->rel.store());
+  f->appended.rows = std::move(delta.appended_rows);
+  f->removed = RowView(&f->rel.store());
+  f->removed.rows = std::move(delta.removed_rows);
+  return f;
+}
+
+RefreshFixture& Trie10kAppend1() {
+  static std::unique_ptr<RefreshFixture> f = MakeRefreshFixture(10000, 1, 0);
+  return *f;
+}
+RefreshFixture& Trie100kAppend1() {
+  static std::unique_ptr<RefreshFixture> f = MakeRefreshFixture(100000, 1, 0);
+  return *f;
+}
+RefreshFixture& Trie100kMixed() {
+  static std::unique_ptr<RefreshFixture> f =
+      MakeRefreshFixture(100000, 10, 10);
+  return *f;
+}
+
+void TimeRefresh(const RefreshFixture& f) {
+  const TrieIndex refreshed(*f.base, f.appended, f.removed, kRefreshLayout);
+  CQB_CHECK(refreshed.num_tuples() == f.rel.size());
+}
+
 void PrepareTimerFixtures() {
+  Trie10kAppend1();
+  Trie100kAppend1();
+  Trie100kMixed();
   EvaluateQuery(TriQ(), TriDb(), PlanKind::kGenericJoin, &TriCtx(), nullptr)
       .ValueOrDie();
   EvaluateQuery(ChainQ(), ChDb(), PlanKind::kHybridYannakakis, &ChCtx(),
@@ -165,10 +227,9 @@ void PrintTables() {
           stats);
     }
 
-    // Removal contrast: one Remove moves the append floor so the pure
-    // patch path is off the table, but the tombstone journal names the
-    // removed row -- the refresh is an *unpatch* (subtracting the removed
-    // keys' support from the cached tries), still never a rebuild.
+    // Removal contrast: the tombstone journal names the removed row, so
+    // the refresh is an *unpatch* (subtracting the removed keys' support
+    // from the cached tries), still never a rebuild.
     CQB_CHECK(e->Remove(removable));
     CQB_CHECK(e->compactions() == 0);
     EvaluateQuery(q, db, PlanKind::kGenericJoin, &ctx, &stats).ValueOrDie();
@@ -308,6 +369,15 @@ CQB_BENCH_TIMED("chain10k/append1+full-pass", [] {
                 nullptr)
       .ValueOrDie();
 })
+
+// The refresh constructor alone over a 1-row append window (the patch
+// shape) and over a mixed 10-append/10-remove window, no evaluation.
+CQB_BENCH_TIMED("trie10k/refresh-append1",
+                [] { TimeRefresh(Trie10kAppend1()); })
+CQB_BENCH_TIMED("trie100k/refresh-append1",
+                [] { TimeRefresh(Trie100kAppend1()); })
+CQB_BENCH_TIMED("trie100k/refresh-mixed",
+                [] { TimeRefresh(Trie100kMixed()); })
 
 void BM_DeltaAppendEval(benchmark::State& state) {
   const int k = static_cast<int>(state.range(0));

@@ -130,13 +130,16 @@ void PrintTables() {
                            t0.tuple_materializations))});
 
     // One appended row (an isolated edge: it extends no cycle path, so the
-    // join table below keeps its exact output count), patched in via the
-    // O(base + k log k) merge -- still zero materializations.
+    // join table below keeps its exact output count), named by the journal
+    // and merged in by the delta constructor's O(base + k log k) merge --
+    // still zero materializations.
     CQB_CHECK(e->Insert({2000000, 2000001}));
-    const Relation::AppendWindow window = e->AppendedRowsSince(kScale);
-    TrieIndex patched(
-        scratch, RowView::Tail(e->store(), window.first_row, window.count),
-        {{0}, {1}});
+    Relation::DeltaSet delta;
+    CQB_CHECK(e->DeltasSince(kScale, &delta));
+    CQB_CHECK(delta.appended_rows.size() == 1 && delta.removed_rows.empty());
+    RowView appended(&e->store());
+    appended.rows = std::move(delta.appended_rows);
+    TrieIndex patched(scratch, appended, RowView(&e->store()), {{0}, {1}});
     const TrieBuildStats t2 = GetTrieBuildStats();
     CQB_CHECK(patched.num_tuples() == kScale + 1);
     CQB_CHECK(t2.merge_builds == t1.merge_builds + 1);

@@ -12,17 +12,11 @@
 
 namespace cqbounds {
 
-/// One step of a join-project plan: join the given body atom into the
-/// current bindings, then project the bindings onto `keep_vars`.
-struct JoinPlanStep {
-  int atom_index = 0;
-  /// Variable ids kept after the join (sorted).
-  std::vector<int> keep_vars;
-};
-
 /// An explicit join-project plan in the sense of Corollary 4.8 / Atserias
 /// et al. Theorem 15: an atom order plus per-step projections.
 struct JoinPlan {
+  /// JoinPlanStep lives in relation/evaluate.h, next to the binary-join
+  /// executor; BuildJoinProjectPlan emits sorted keep sets.
   std::vector<JoinPlanStep> steps;
   /// The Corollary 4.8 time-budget exponent: intermediates stay within
   /// rmax^{C(chase(Q))} and the work within rmax^{C+1} when the guarantee
@@ -48,9 +42,14 @@ struct JoinPlan {
 ///  - the cost exponent is C(chase(Q)) + 1 from the simple-FD pipeline.
 Result<JoinPlan> BuildJoinProjectPlan(const Query& query);
 
-/// Executes `plan` over `db`, producing Q(D). Equivalent to
-/// EvaluateQuery(query, db, PlanKind::kJoinProject) up to join order;
-/// tests assert result equality. `stats` may be null.
+/// Executes `plan` over `db`, producing Q(D), through the shared
+/// binary-join executor (ExecuteJoinSteps, relation/evaluate.h), which
+/// validates the whole plan first: kInvalidArgument unless every atom
+/// occurs exactly once, every kept variable is bound by the prefix, no step
+/// drops a variable a later atom uses, and every head variable is kept by
+/// the last step. Equivalent to EvaluateQuery(query, db,
+/// PlanKind::kJoinProject) up to join order; tests assert result equality.
+/// `stats` may be null.
 Result<Relation> ExecuteJoinPlan(const Query& query, const JoinPlan& plan,
                                  const Database& db, EvalStats* stats);
 
@@ -88,8 +87,8 @@ struct GenericJoinOrder {
   /// kTreeDecomposition path was taken; -1 otherwise.
   int intersection_width = -1;
   /// The executor this module recommends: kHybridYannakakis exactly when
-  /// the low-width tree-decomposition path certified (the same gate
-  /// EvaluateHybridYannakakis re-derives, so the hybrid's semi-join pass
+  /// the low-width tree-decomposition path certified (the same gate the
+  /// hybrid executor re-derives, so the hybrid's semi-join pass
   /// will actually engage), kGenericJoin otherwise.
   PlanKind recommended_plan = PlanKind::kGenericJoin;
 

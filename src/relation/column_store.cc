@@ -296,15 +296,4 @@ ColumnStats ColumnStore::Stats(int col) const {
   return stats;
 }
 
-RowView RowView::Tail(const ColumnStore& store, std::size_t first,
-                      std::size_t count) {
-  CQB_CHECK(first + count <= store.size());
-  RowView view(&store);
-  view.rows.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    view.rows.push_back(static_cast<std::uint32_t>(first + i));
-  }
-  return view;
-}
-
 }  // namespace cqbounds

@@ -211,7 +211,7 @@ class ColumnStore {
 
 /// A borrowed, ordered list of row ids into one ColumnStore -- the columnar
 /// replacement for the old `vector<const Tuple*>` filtered views (semi-join
-/// survivors, append-window deltas). Nothing is copied: consumers read key
+/// survivors, journal deltas). Nothing is copied: consumers read key
 /// columns straight out of the store. The store must outlive the view.
 struct RowView {
   const ColumnStore* store = nullptr;
@@ -222,11 +222,6 @@ struct RowView {
 
   std::size_t size() const { return rows.size(); }
   bool empty() const { return rows.empty(); }
-
-  /// The contiguous suffix [first, first + count) of `store` -- the shape of
-  /// an append window.
-  static RowView Tail(const ColumnStore& store, std::size_t first,
-                      std::size_t count);
 };
 
 }  // namespace cqbounds

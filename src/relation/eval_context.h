@@ -59,25 +59,23 @@ struct LowWidthProbe {
 ///  2. a **plan tier**: the ProbeLowWidthStructure result (certified width,
 ///     decomposition, binding order) keyed by the *query shape* (atom
 ///     relation names + variable layout), so a warm hybrid run performs
-///     zero TreewidthExact calls. Each plan entry also records the
-///     relation generations observed after a semi-join reduction pass that
-///     dropped nothing, letting EvaluateHybridYannakakis skip the pass
-///     entirely when nothing changed since.
+///     zero TreewidthExact calls. Each plan entry also carries the hybrid
+///     plan's last semi-join reduction (SemijoinState), keyed by the atom
+///     relations' generation vector and maintained by delta passes.
 ///
 /// Invalidation: trie entries snapshot Relation::generation() at build time
 /// and are refreshed (counted as a miss) when the relation mutated since.
-/// The refresh is delta-aware: when every mutation since the snapshot was an
-/// append (Relation::AppendsOnlySince), the stale trie is *patched* -- the
-/// sorted delta is merged into the cached trie's key stream, O(base copy +
-/// k log k) instead of a from-scratch O(n log n) sort (EvalStats::
-/// trie_patches). A mixed append/remove window is *unpatched*: the journal's
-/// DeltasSince names both sides, and the trie's per-key support counts
-/// subtract removals exactly (EvalStats::trie_unpatches), same cost shape.
-/// Only a hard structural break -- Clear, or a Remove that crossed the
-/// tombstone-compaction threshold -- forces the full rebuild (EvalStats::
-/// trie_rebuilds). Plan entries depend only on the
-/// query shape and never go stale from data mutations -- only their
-/// semi-join state is generation-checked per use. The context holds a
+/// The refresh is delta-aware: whenever the journal can still name what
+/// changed since the snapshot (Relation::DeltasSince), the stale trie is
+/// *unpatched* -- the sorted appended keys are merged into the cached
+/// trie's key stream and the removed keys' support is subtracted, O(base
+/// copy + k log k) instead of a from-scratch O(n log n) sort. A window with
+/// no removed rows counts as EvalStats::trie_patches, any other as
+/// trie_unpatches. Only a hard structural break -- Clear, or a Remove that
+/// crossed the tombstone-compaction threshold -- forces the full rebuild
+/// (EvalStats::trie_rebuilds). Plan entries depend only on the query shape
+/// and never go stale from data mutations -- only their semi-join state is
+/// generation-checked per use. The context holds a
 /// pointer to its Database, whose relations live in a std::map, so cached
 /// references stay stable across insertions of new relations.
 ///
@@ -124,14 +122,26 @@ class EvalContext {
   /// survivor views (per-atom survivor tries for atoms that lost tuples),
   /// the per-step semi-join key *support counts* plus per-atom
   /// survivor/dropped row sets (the counting delta pass's working state),
-  /// and the generation vector that keys it all. Maintained by
-  /// EvaluateHybridYannakakis; every field is guarded by CachedPlan's
-  /// `skip_mu`.
+  /// the filter schedule they are indexed by, and the generation vector
+  /// that keys it all. Maintained by the hybrid plan (relation/evaluate.cc);
+  /// every field is guarded by CachedPlan's `skip_mu`.
   struct SemijoinState {
+    /// One semi-join of the reduction schedule: filter atom `target`'s
+    /// survivors to those whose shared-variable projection occurs among
+    /// atom `source`'s survivors.
+    struct FilterStep {
+      std::size_t source = 0;
+      std::size_t target = 0;
+      std::vector<int> src_pos;  // source tuple positions of the shared vars
+      std::vector<int> tgt_pos;  // target tuple positions of the shared vars
+    };
+
+
     /// Atom i's relation generation observed when this state was computed
     /// -- the survivor-view cache key. A run whose generation vector
-    /// matches reuses the survivor views outright (skipping the pass); a
-    /// partial bump invalidates (delta pass or full re-pass).
+    /// matches reuses the survivor views outright (its delta pass is empty:
+    /// the skip); any bump is folded in by a delta pass, or a full re-pass
+    /// past a structural break.
     std::vector<std::uint64_t> generations;
     /// Per atom: true iff every live tuple of its relation survived the
     /// pass (no drops on record for that atom).
@@ -142,8 +152,11 @@ class EvalContext {
     /// out copies of the shared_ptr; the delta pass replaces the pointer,
     /// never the pointee.
     std::vector<std::shared_ptr<const TrieIndex>> survivor_tries;
-    /// Per schedule step (the deterministic up+down filter order derived
-    /// from the decomposition): how many of the source atom's surviving
+    /// The deterministic up+down filter order derived from the certified
+    /// decomposition. It depends only on the plan, so the full pass that
+    /// creates this state computes it once and every delta pass replays it.
+    std::vector<FilterStep> schedule;
+    /// Per schedule step: how many of the source atom's surviving
     /// rows project onto each semi-join key. Counts -- not sets -- are what
     /// make removals O(delta): a source row leaving decrements its key, a
     /// key hitting zero kills dependent target tuples, and a key coming
@@ -164,9 +177,9 @@ class EvalContext {
 
   /// One plan-tier entry. `probe` is filled exactly once (concurrent
   /// GetPlan calls for one shape run one probe, the rest wait) and is
-  /// immutable afterwards; the semi-join state is maintained by
-  /// EvaluateHybridYannakakis after each reduction pass and must only be
-  /// touched with `skip_mu` held.
+  /// immutable afterwards; the semi-join state is maintained by the hybrid
+  /// plan after each reduction pass and must only be touched with
+  /// `skip_mu` held.
   struct CachedPlan {
     LowWidthProbe probe;
     /// Last completed reduction pass's outcome, or null before the first
@@ -186,12 +199,10 @@ class EvalContext {
   };
 
   /// The cached trie for `rel` under `level_positions`, building (or
-  /// refreshing, if `rel` mutated since -- a delta patch when the mutations
-  /// were appends-only, a support-count unpatch when the journal can name
-  /// the mixed append/remove delta, a full rebuild only past a structural
-  /// break) on demand. `rel` must
-  /// belong to
-  /// the attached database -- checked by identity, not by name, and
+  /// refreshing, if `rel` mutated since -- a support-count unpatch when the
+  /// journal can name the delta, a full rebuild only past a structural
+  /// break) on demand. `rel` must belong to the attached database --
+  /// checked by identity, not by name, and
   /// enforced with CQB_CHECK: a same-named relation from another database
   /// can coincide in generation, and serving it a "hit" would silently
   /// return a trie over different tuples. Hit/miss counters are bumped both
@@ -211,9 +222,8 @@ class EvalContext {
   /// in `stats->treewidth_probe_runs` of whichever caller executed it).
   /// Warm calls are a keyed map lookup under a short lock: zero graph
   /// builds, zero treewidth probes. The returned reference stays valid
-  /// until Clear() or context destruction; only its skip state
-  /// (reduction_clean / clean_generations, under skip_mu) may be updated in
-  /// place by the hybrid executor.
+  /// until Clear() or context destruction; only its semi-join state (under
+  /// skip_mu) may be updated in place by the hybrid executor.
   CachedPlan& GetPlan(const Query& query, EvalStats* stats);
 
   /// True iff `rel` is the attached database's relation of that name (the
@@ -235,11 +245,11 @@ class EvalContext {
   std::size_t plan_misses() const {
     return plan_misses_.load(std::memory_order_relaxed);
   }
-  /// Of the lifetime misses: how many were served by patching a stale
-  /// cached trie (appends-only delta merge), by unpatching one (mixed
-  /// append/remove delta with support-count subtraction), or by rebuilding
-  /// from scratch. patches() + unpatches() + rebuilds() == misses() for
-  /// this tier.
+  /// Of the lifetime misses: how many were served by the delta constructor
+  /// over a window with no removed rows (patches), by the same constructor
+  /// over a window with removals (unpatches), or by rebuilding from
+  /// scratch. patches() + unpatches() + rebuilds() == misses() for this
+  /// tier.
   std::size_t patches() const {
     return patches_.load(std::memory_order_relaxed);
   }

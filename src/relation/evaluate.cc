@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
-#include <deque>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <unordered_map>
 #include <unordered_set>
@@ -39,28 +39,43 @@ std::vector<std::set<int>> NeededVarsBySuffix(const Query& query) {
   return needed_after;
 }
 
-/// Resolves and checks the relation behind `atom`, the shared precondition
-/// of every plan kind.
-Result<const Relation*> ResolveAtom(const Atom& atom, const Database& db) {
-  const Relation* rel = db.Find(atom.relation);
-  if (rel == nullptr) {
-    return Status::NotFound("relation '" + atom.relation +
-                            "' missing from database");
+/// Resolves and checks the relation behind every atom, in body order -- the
+/// shared precondition of every plan kind. Every executor resolves all
+/// atoms up front, so missing relations and arity mismatches error
+/// deterministically even when an early atom already empties the result.
+Result<std::vector<const Relation*>> ResolveAtoms(const Query& query,
+                                                  const Database& db) {
+  std::vector<const Relation*> rels;
+  rels.reserve(query.atoms().size());
+  for (const Atom& atom : query.atoms()) {
+    const Relation* rel = db.Find(atom.relation);
+    if (rel == nullptr) {
+      return Status::NotFound("relation '" + atom.relation +
+                              "' missing from database");
+    }
+    if (rel->arity() != static_cast<int>(atom.vars.size())) {
+      return Status::InvalidArgument(
+          "atom " + atom.relation + " has arity " +
+          std::to_string(atom.vars.size()) + " but relation has arity " +
+          std::to_string(rel->arity()));
+    }
+    rels.push_back(rel);
   }
-  if (rel->arity() != static_cast<int>(atom.vars.size())) {
-    return Status::InvalidArgument(
-        "atom " + atom.relation + " has arity " +
-        std::to_string(atom.vars.size()) + " but relation has arity " +
-        std::to_string(rel->arity()));
-  }
-  return rel;
+  return rels;
 }
 
-/// `ctx`, when provided, must cache for the same database the evaluation
-/// reads -- otherwise it would serve tries of unrelated relations that
-/// happen to share a name.
-Status CheckContextDatabase(const EvalContext* ctx, const Database& db) {
-  if (ctx != nullptr && &ctx->database() != &db) {
+/// Resolves the context an evaluation runs through. A caller's `*ctx` must
+/// cache for the same database the evaluation reads -- otherwise it would
+/// serve tries of unrelated relations that happen to share a name. A null
+/// `*ctx` is pointed at `*scratch`, a throwaway context over `db` that
+/// dies with the call: context-free evaluation takes the one context path,
+/// so it builds each (relation, layout) trie once per call and probes the
+/// plan once, counted exactly as a fresh context would count them.
+Status CheckContextDatabase(const Database& db, EvalContext** ctx,
+                            std::optional<EvalContext>* scratch) {
+  if (*ctx == nullptr) {
+    *ctx = &scratch->emplace(db);
+  } else if (&(*ctx)->database() != &db) {
     return Status::InvalidArgument(
         "evaluation context is attached to a different database");
   }
@@ -126,8 +141,8 @@ struct GenericJoinSearch {
 
   /// Variable ids in binding order.
   const std::vector<int>& order;
-  /// One trie per atom (cached in an EvalContext or owned transiently by
-  /// the caller), keyed by the atom's variables in global order.
+  /// One trie per atom (served by the EvalContext, or the hybrid's
+  /// survivor view), keyed by the atom's variables in global order.
   std::vector<const TrieIndex*> tries;
   /// atoms_at[d]: atoms whose trie has a level for variable order[d].
   std::vector<std::vector<int>> atoms_at;
@@ -345,12 +360,13 @@ using TrieOverrides = std::vector<std::shared_ptr<const TrieIndex>>;
 /// The shared generic-join engine behind EvaluateGenericJoin and the hybrid
 /// plan. `overrides`, when non-null, replaces atom i's trie with
 /// `(*overrides)[i]` if non-null (see TrieOverrides); untouched atoms go
-/// through `ctx` when provided. Fills `local` (assumed zeroed); the caller
-/// owns publishing it to the user-facing stats pointer. A non-null `pool`
-/// with workers runs the search partitioned over the depth-0 matches (see
-/// RunPartitionedDepth0); a null pool, a worker-less pool, a variable-free
-/// head (where the serial early exit beats any fan-out) or fewer than two
-/// depth-0 matches all fall back to the serial search.
+/// through `ctx`, which must be non-null. Fills `local` (assumed zeroed);
+/// the caller owns publishing it to the user-facing stats pointer. A
+/// non-null `pool` with workers runs the search partitioned over the
+/// depth-0 matches (see RunPartitionedDepth0); a null pool, a worker-less
+/// pool, a variable-free head (where the serial early exit beats any
+/// fan-out) or fewer than two depth-0 matches all fall back to the serial
+/// search.
 Result<Relation> GenericJoinImpl(const Query& query, const Database& db,
                                  const std::vector<int>& variable_order,
                                  EvalContext* ctx, ThreadPool* pool,
@@ -377,22 +393,12 @@ Result<Relation> GenericJoinImpl(const Query& query, const Database& db,
   }
   local->intermediate_sizes.assign(variable_order.size(), 0);
 
-  // Resolve every atom up front so missing relations and arity mismatches
-  // error deterministically even when an earlier trie is already empty.
   std::vector<const Relation*> rels;
-  rels.reserve(query.atoms().size());
-  for (const Atom& atom : query.atoms()) {
-    const Relation* rel;
-    CQB_ASSIGN_OR_RETURN(rel, ResolveAtom(atom, db));
-    rels.push_back(rel);
-  }
+  CQB_ASSIGN_OR_RETURN(rels, ResolveAtoms(query, db));
 
-  // Transient tries (no context, or semi-join-filtered views) live here;
-  // deque keeps the pointers handed to the search stable. Context-served
-  // tries are pinned by shared_ptr for the duration of the search: a
+  // Every trie is pinned by shared_ptr for the duration of the search: a
   // concurrent evaluation rebuilding the cache entry (after an interleaved
   // mutation elsewhere) swaps the entry, never the pinned index.
-  std::deque<TrieIndex> owned;
   std::vector<std::shared_ptr<const TrieIndex>> pinned;
   bool empty_atom = false;
   for (std::size_t i = 0; i < query.atoms().size() && !empty_atom; ++i) {
@@ -403,18 +409,13 @@ Result<Relation> GenericJoinImpl(const Query& query, const Database& db,
       // the plan's survivor-view cache); its counters were charged there.
       pinned.push_back((*overrides)[i]);
       trie = pinned.back().get();
-    } else if (ctx != nullptr) {
+    } else {
       const std::size_t misses_before = local->trie_cache_misses;
       pinned.push_back(ctx->GetTrie(*rels[i], layout.level_positions, local));
       trie = pinned.back().get();
       if (local->trie_cache_misses != misses_before) {
         local->indexed_tuples += trie->num_tuples();
       }
-    } else {
-      ++local->trie_cache_misses;
-      owned.emplace_back(*rels[i], layout.level_positions);
-      trie = &owned.back();
-      local->indexed_tuples += trie->num_tuples();
     }
     if (trie->num_tuples() == 0) empty_atom = true;
     for (int r : layout.ranks) {
@@ -453,6 +454,252 @@ Result<Relation> GenericJoinImpl(const Query& query, const Database& db,
   return output;
 }
 
+// --- The binary-join executor ---------------------------------------------
+
+/// The step lists of EvaluateQuery's binary-join plans, atoms in body
+/// order, each step's keep set in binding layout order (the bound prefix,
+/// then the atom's new variables by first occurrence). kNaive (`project`
+/// false) keeps every bound variable; kJoinProject keeps only those the
+/// head or a later atom still needs.
+std::vector<JoinPlanStep> BodyOrderSteps(const Query& query, bool project) {
+  const std::size_t m = query.atoms().size();
+  const std::vector<std::set<int>> needed_after =
+      project ? NeededVarsBySuffix(query) : std::vector<std::set<int>>();
+  std::vector<JoinPlanStep> steps(m);
+  std::vector<char> bound(query.num_variables(), 0);
+  std::vector<int> layout;
+  for (std::size_t j = 0; j < m; ++j) {
+    for (int v : query.atoms()[j].vars) {
+      if (!bound[v]) {
+        bound[v] = 1;
+        layout.push_back(v);
+      }
+    }
+    if (project) {
+      // A dropped variable occurs in no later atom, so it never rebinds.
+      const std::set<int>& needed = needed_after[j + 1];
+      layout.erase(std::remove_if(layout.begin(), layout.end(),
+                                  [&needed](int v) { return !needed.count(v); }),
+                   layout.end());
+    }
+    steps[j].atom_index = static_cast<int>(j);
+    steps[j].keep_vars = layout;
+  }
+  return steps;
+}
+
+/// Checks a binary-join step list against `query` before any data is read:
+/// every atom occurs exactly once, every kept variable is bound by the
+/// prefix, no step drops a variable a later atom still uses (the later atom
+/// would bind it afresh and silently lose the join), and every head
+/// variable survives the last step.
+Status ValidateJoinSteps(const Query& query,
+                         const std::vector<JoinPlanStep>& steps) {
+  const std::size_t m = query.atoms().size();
+  if (steps.size() != m) {
+    return Status::InvalidArgument("plan does not cover all atoms");
+  }
+  enum : char { kUnbound, kBound, kDropped };
+  std::vector<char> state(query.num_variables(), kUnbound);
+  std::vector<char> joined(m, 0);
+  std::vector<char> kept(query.num_variables(), 0);
+  for (const JoinPlanStep& step : steps) {
+    if (step.atom_index < 0 || step.atom_index >= static_cast<int>(m)) {
+      return Status::InvalidArgument("plan step atom index out of range");
+    }
+    if (joined[step.atom_index]++) {
+      return Status::InvalidArgument("plan joins atom " +
+                                     std::to_string(step.atom_index) +
+                                     " more than once");
+    }
+    for (int v : query.atoms()[step.atom_index].vars) {
+      if (state[v] == kDropped) {
+        return Status::InvalidArgument(
+            "plan drops variable '" + query.variable_name(v) +
+            "' before an atom that still uses it");
+      }
+      state[v] = kBound;
+    }
+    std::fill(kept.begin(), kept.end(), 0);
+    for (int v : step.keep_vars) {
+      if (v < 0 || v >= query.num_variables() || state[v] != kBound) {
+        return Status::InvalidArgument(
+            "plan keeps a variable that is not bound yet: " +
+            (v >= 0 && v < query.num_variables() ? query.variable_name(v)
+                                                 : std::to_string(v)));
+      }
+      kept[v] = 1;
+    }
+    for (int v = 0; v < query.num_variables(); ++v) {
+      if (state[v] == kBound && !kept[v]) state[v] = kDropped;
+    }
+  }
+  for (int v : query.head_vars()) {
+    if (state[v] != kBound) {
+      return Status::InvalidArgument("plan dropped head variable '" +
+                                     query.variable_name(v) + "'");
+    }
+  }
+  return Status::OK();
+}
+
+/// The one binary-join executor, behind kNaive, kJoinProject and
+/// ExecuteJoinPlan: left-deep hash joins in step order, each followed by a
+/// projection onto the step's keep set. Bindings are tuples over
+/// `bound_vars` (parallel layout); var_slot maps a variable id to its
+/// position there (-1 when unbound), so per-atom binding lookups are O(1).
+/// Fills `local` (assumed zeroed).
+Result<Relation> BinaryJoinImpl(const Query& query,
+                                const std::vector<JoinPlanStep>& steps,
+                                const Database& db, EvalStats* local) {
+  CQB_RETURN_NOT_OK(ValidateJoinSteps(query, steps));
+  std::vector<const Relation*> rels;
+  CQB_ASSIGN_OR_RETURN(rels, ResolveAtoms(query, db));
+
+  std::vector<int> bound_vars;
+  std::vector<int> var_slot(query.num_variables(), -1);
+  std::vector<Tuple> bindings = {Tuple{}};
+  std::vector<char> kept(query.num_variables(), 0);
+  for (const JoinPlanStep& step : steps) {
+    const Atom& atom = query.atoms()[step.atom_index];
+    // Once no binding survives, the result is empty whatever the remaining
+    // atoms hold: skip their index construction.
+    if (bindings.empty()) {
+      local->intermediate_sizes.push_back(0);
+      continue;
+    }
+
+    // Split the atom's positions into join positions (variable already
+    // bound) and new positions (first occurrence of a new variable).
+    std::vector<std::pair<int, int>> join_pos;  // (atom position, binding idx)
+    std::vector<std::pair<int, int>> new_pos;   // (atom position, new var)
+    std::vector<int> first_seen(query.num_variables(), -1);
+    for (std::size_t p = 0; p < atom.vars.size(); ++p) {
+      int var = atom.vars[p];
+      if (var_slot[var] >= 0) {
+        join_pos.emplace_back(static_cast<int>(p), var_slot[var]);
+      } else if (first_seen[var] >= 0) {
+        // Repeated new variable inside the atom: equality filter against its
+        // first occurrence, handled below during indexing.
+        join_pos.emplace_back(static_cast<int>(p), -1 - first_seen[var]);
+      } else {
+        first_seen[var] = static_cast<int>(p);
+        new_pos.emplace_back(static_cast<int>(p), var);
+      }
+    }
+
+    // Index the relation on the join-key values, reading the key columns
+    // straight from the store (row ids, not tuple pointers -- nothing is
+    // materialized). Rows violating intra-atom repeated-variable equality
+    // are skipped; the equality check compares dictionary codes.
+    const ColumnStore& store = rels[step.atom_index]->store();
+    std::unordered_map<Tuple, std::vector<std::uint32_t>, TupleHash> index;
+    Tuple ikey;
+    for (std::size_t row = 0; row < store.size(); ++row) {
+      if (!store.IsLive(row)) continue;
+      bool self_consistent = true;
+      ikey.clear();
+      for (const auto& [pos, ref] : join_pos) {
+        if (ref < 0) {
+          const int first_pos = -1 - ref;
+          if (store.CodeAt(row, pos) != store.CodeAt(row, first_pos)) {
+            self_consistent = false;
+            break;
+          }
+        } else {
+          ikey.push_back(store.ValueAt(row, pos));
+        }
+      }
+      if (self_consistent) {
+        index[ikey].push_back(static_cast<std::uint32_t>(row));
+        ++local->indexed_tuples;
+      }
+    }
+
+    // Probe.
+    for (const auto& [pos, var] : new_pos) {
+      (void)pos;
+      var_slot[var] = static_cast<int>(bound_vars.size());
+      bound_vars.push_back(var);
+    }
+    std::vector<Tuple> next;
+    for (const Tuple& binding : bindings) {
+      Tuple key;
+      for (const auto& [pos, ref] : join_pos) {
+        (void)pos;
+        if (ref >= 0) key.push_back(binding[ref]);
+      }
+      auto it = index.find(key);
+      if (it == index.end()) continue;
+      for (const std::uint32_t row : it->second) {
+        Tuple extended = binding;
+        for (const auto& [pos, var] : new_pos) {
+          (void)var;
+          extended.push_back(store.ValueAt(row, pos));
+        }
+        next.push_back(std::move(extended));
+      }
+    }
+    bindings = std::move(next);
+
+    // Project onto the keep set. Bindings over every bound variable are
+    // distinct (each extends a distinct binding by a distinct row), so only
+    // a step that drops a variable can create duplicates to remove.
+    if (step.keep_vars != bound_vars) {
+      for (int v : step.keep_vars) kept[v] = 1;
+      bool drops = false;
+      for (int v : bound_vars) {
+        if (!kept[v]) drops = true;
+      }
+      for (int v : step.keep_vars) kept[v] = 0;
+      std::vector<int> kept_positions;
+      kept_positions.reserve(step.keep_vars.size());
+      for (int v : step.keep_vars) kept_positions.push_back(var_slot[v]);
+      std::unordered_set<Tuple, TupleHash> dedup;
+      std::vector<Tuple> projected;
+      projected.reserve(bindings.size());
+      for (const Tuple& binding : bindings) {
+        Tuple p;
+        p.reserve(kept_positions.size());
+        for (int pos : kept_positions) p.push_back(binding[pos]);
+        if (!drops || dedup.insert(p).second) projected.push_back(std::move(p));
+      }
+      for (int v : bound_vars) var_slot[v] = -1;
+      for (std::size_t i = 0; i < step.keep_vars.size(); ++i) {
+        var_slot[step.keep_vars[i]] = static_cast<int>(i);
+      }
+      bound_vars = step.keep_vars;
+      bindings = std::move(projected);
+    }
+
+    local->intermediate_sizes.push_back(bindings.size());
+  }
+
+  for (std::size_t s : local->intermediate_sizes) {
+    local->max_intermediate = std::max(local->max_intermediate, s);
+    local->total_intermediate += s;
+  }
+
+  // Project onto the head variable list (which may repeat variables); the
+  // validated plan keeps every head variable through its last step.
+  Relation output(query.head_relation(),
+                  static_cast<int>(query.head_vars().size()));
+  std::vector<int> head_positions;
+  head_positions.reserve(query.head_vars().size());
+  if (!bindings.empty()) {
+    for (int var : query.head_vars()) head_positions.push_back(var_slot[var]);
+  }
+  Tuple head_tuple(query.head_vars().size());
+  for (const Tuple& binding : bindings) {
+    for (std::size_t i = 0; i < head_positions.size(); ++i) {
+      head_tuple[i] = binding[head_positions[i]];
+    }
+    output.Insert(head_tuple);
+  }
+  local->output_size = output.size();
+  return output;
+}
+
 // --- Yannakakis semi-join reduction over the certified decomposition ------
 
 /// Per-atom state of the semi-join reduction: the atom's distinct variables
@@ -474,7 +721,7 @@ struct ReductionAtom {
 };
 
 /// The cheap (tuple-free) part of survivor construction: variable layout
-/// only, so the delta pass can build the filter schedule without scanning
+/// only, so the delta pass can filter its journal rows without scanning
 /// any relation.
 ReductionAtom MakeReductionAtom(const Atom& atom) {
   std::map<int, std::vector<int>> positions;  // var -> tuple positions
@@ -503,19 +750,6 @@ bool SelfConsistent(const ReductionAtom& a, const ColumnStore& store,
     }
   }
   return true;
-}
-
-/// Appends the live self-consistent row ids of rows [first, store.size())
-/// to `out`. The full pass collects from 0; the delta pass collects only
-/// the appended window.
-void CollectSelfConsistent(const ReductionAtom& a, const ColumnStore& store,
-                           std::size_t first,
-                           std::vector<std::uint32_t>* out) {
-  for (std::size_t row = first; row < store.size(); ++row) {
-    if (store.IsLive(row) && SelfConsistent(a, store, row)) {
-      out->push_back(static_cast<std::uint32_t>(row));
-    }
-  }
 }
 
 /// Assigns every atom to a bag of the certified decomposition (its distinct
@@ -561,15 +795,8 @@ bool AssignBags(const TreeDecomposition& td, const std::vector<int>& dense,
   return true;
 }
 
-/// One semi-join of the reduction schedule: filter atom `target`'s
-/// survivors to those whose shared-variable projection occurs among atom
-/// `source`'s survivors.
-struct FilterStep {
-  std::size_t source = 0;
-  std::size_t target = 0;
-  std::vector<int> src_pos;  // source tuple positions of the shared vars
-  std::vector<int> tgt_pos;  // target tuple positions of the shared vars
-};
+using SemijoinState = EvalContext::SemijoinState;
+using FilterStep = SemijoinState::FilterStep;
 
 /// The deterministic semi-join schedule of one plan: atoms in deepest bags
 /// first, each filtering every variable-sharing atom at the same or smaller
@@ -631,36 +858,24 @@ std::vector<FilterStep> BuildFilterSchedule(
 /// than any schedule index.
 constexpr std::uint32_t kNoDrop = 0xFFFFFFFFu;
 
-/// Executes the full reduction pass over `atoms` (whose survivor row lists
-/// must hold every live self-consistent row, with `store` set). When
-/// `counts` and `drops` are non-null they receive, per step, the source
-/// atom's semi-join key *support counts* as of that step and, per atom,
-/// the (row, first-dropping-step) events sorted by row -- exactly the
-/// books the counting delta pass adjusts later, so the key maps the pass
-/// builds anyway are persisted instead of discarded. Keys are decoded
-/// values, not codes: source and target live in different stores, so only
-/// values compare across atoms.
-void RunFullPass(
-    const std::vector<FilterStep>& steps, std::vector<ReductionAtom>* atoms,
-    std::vector<std::unordered_map<Tuple, std::uint32_t, TupleHash>>* counts,
-    std::vector<std::vector<std::pair<std::uint32_t, std::uint32_t>>>* drops) {
-  if (counts != nullptr) {
-    counts->clear();
-    counts->resize(steps.size());
-  }
-  if (drops != nullptr) {
-    drops->clear();
-    drops->resize(atoms->size());
-  }
+/// Executes `state`'s filter schedule over `atoms` (whose survivor row
+/// lists must hold every live self-consistent row, with `store` set),
+/// recording per step the source atom's semi-join key *support counts* as
+/// of that step and, per atom, the (row, first-dropping-step) events sorted
+/// by row -- exactly the books the counting delta pass adjusts later, so
+/// the key maps the pass builds anyway are persisted instead of discarded.
+/// Keys are decoded values, not codes: source and target live in different
+/// stores, so only values compare across atoms.
+void RunFullPass(std::vector<ReductionAtom>* atoms, SemijoinState* state) {
+  const std::vector<FilterStep>& steps = state->schedule;
+  state->step_counts.assign(steps.size(), {});
+  state->dropped.assign(atoms->size(), {});
   for (std::size_t s = 0; s < steps.size(); ++s) {
     const FilterStep& step = steps[s];
     ReductionAtom& source = (*atoms)[step.source];
     ReductionAtom& target = (*atoms)[step.target];
-    if (counts == nullptr && target.rows.empty()) continue;
-
-    std::unordered_map<Tuple, std::uint32_t, TupleHash> local_keys;
     std::unordered_map<Tuple, std::uint32_t, TupleHash>& keys =
-        counts != nullptr ? (*counts)[s] : local_keys;
+        state->step_counts[s];
     Tuple key(step.src_pos.size());
     for (const std::uint32_t row : source.rows) {
       for (std::size_t i = 0; i < step.src_pos.size(); ++i) {
@@ -677,15 +892,14 @@ void RunFullPass(
       }
       if (keys.count(key)) {
         kept.push_back(row);
-      } else if (drops != nullptr) {
-        (*drops)[step.target].emplace_back(row, static_cast<std::uint32_t>(s));
+      } else {
+        state->dropped[step.target].emplace_back(
+            row, static_cast<std::uint32_t>(s));
       }
     }
     target.rows = std::move(kept);
   }
-  if (drops != nullptr) {
-    for (auto& d : *drops) std::sort(d.begin(), d.end());
-  }
+  for (auto& d : state->dropped) std::sort(d.begin(), d.end());
 }
 
 /// Variable-intersection graph of `query` (the Gaifman graph of the
@@ -709,6 +923,433 @@ Graph VariableIntersectionGraph(const Query& query, std::vector<int>* body,
     }
   }
   return g;
+}
+
+// --- The hybrid plan: a full pass and a delta pass over SemijoinState ------
+
+/// Builds atom `atom`'s survivor trie over `view`, charged as a trie-tier
+/// miss. It must use the layout the enumeration derives from the binding
+/// order (`rank`), or the override would not line up with the leapfrog's
+/// levels.
+std::shared_ptr<const TrieIndex> BuildSurvivorTrie(const Atom& atom,
+                                                   const std::vector<int>& rank,
+                                                   const RowView& view,
+                                                   EvalStats* local) {
+  AtomLayout layout = LayoutForAtom(atom, rank);
+  ++local->trie_cache_misses;
+  auto trie = std::make_shared<const TrieIndex>(view, layout.level_positions);
+  local->indexed_tuples += trie->num_tuples();
+  return trie;
+}
+
+/// The full pass: assigns every atom to a bag of the plan's certified
+/// decomposition, computes the filter schedule, collects every atom's
+/// survivors, runs the schedule, and publishes a fresh SemijoinState (the
+/// schedule, the per-step support counts and the per-atom survivor/dropped
+/// books) for later delta passes. An uncertified bag assignment abandons
+/// the pass visibly (semijoin_pass_ran stays false) and drops any cached
+/// state rather than serving views that no schedule can maintain.
+void RunHybridFullPass(const Query& query,
+                       const std::vector<const Relation*>& rels,
+                       const std::vector<int>& rank,
+                       std::vector<ReductionAtom>* atoms,
+                       EvalContext::CachedPlan& plan, EvalStats* local,
+                       TrieOverrides* overrides) CQB_REQUIRES(plan.skip_mu) {
+  if (!AssignBags(plan.probe.tw.decomposition, plan.probe.dense, atoms)) {
+    plan.semijoin.reset();
+    return;
+  }
+  const std::size_t m = atoms->size();
+  std::vector<FilterStep> schedule = BuildFilterSchedule(*atoms);
+  for (std::size_t i = 0; i < m; ++i) {
+    ReductionAtom& a = (*atoms)[i];
+    a.store = &rels[i]->store();
+    a.rows.reserve(rels[i]->size());
+    for (std::size_t row = 0; row < a.store->size(); ++row) {
+      if (a.store->IsLive(row) && SelfConsistent(a, *a.store, row)) {
+        a.rows.push_back(static_cast<std::uint32_t>(row));
+      }
+    }
+    a.initial = a.rows.size();
+  }
+  auto fresh = std::make_unique<SemijoinState>();
+  fresh->schedule = std::move(schedule);
+  RunFullPass(atoms, fresh.get());
+  local->semijoin_pass_ran = true;
+  fresh->generations.reserve(m);
+  for (const Relation* rel : rels) {
+    fresh->generations.push_back(rel->generation());
+  }
+  fresh->all_survive.assign(m, true);
+  fresh->survivor_tries.assign(m, nullptr);
+  fresh->survivors.resize(m);
+  for (std::size_t i = 0; i < m; ++i) {
+    ReductionAtom& a = (*atoms)[i];
+    const std::size_t dropped = a.initial - a.rows.size();
+    fresh->survivors[i] = std::move(a.rows);
+    if (dropped == 0) continue;  // full-relation trie stays usable
+    local->semijoin_dropped_tuples += dropped;
+    local->semijoin_dangling_tuples += dropped;
+    fresh->all_survive[i] = false;
+    RowView view(a.store);
+    view.rows = fresh->survivors[i];
+    fresh->survivor_tries[i] =
+        BuildSurvivorTrie(query.atoms()[i], rank, view, local);
+    (*overrides)[i] = fresh->survivor_tries[i];
+  }
+  plan.semijoin = std::move(fresh);
+}
+
+/// The counting delta pass: folds each atom's mutation window since
+/// `state`'s generation vector (Relation::DeltasSince) into the cached
+/// books. Per step it adjusts the cached key support counts by the rows
+/// entering or leaving the source atom, then propagates only the *net* key
+/// transitions: a key newly at support zero kills the target tuples leaning
+/// on it, a key back from zero *revives* exactly the tuples this step
+/// dropped for lacking it, and appended or revived tuples meet each later
+/// step individually. Kills and revivals cascade (a changed row is tracked,
+/// so it re-enters phase one wherever its atom is a source), and the
+/// resulting survivor sets are identical to a from-scratch pass. Cost is
+/// O(delta . index work) plus one target-atom scan per step whose key set
+/// lost a member.
+///
+/// An unchanged generation vector makes every window empty: that is the
+/// skip, reported as semijoin_pass_skipped with survivor_view_hits counting
+/// the reused survivor views (any moved generation reports a delta pass,
+/// even when the windows net out empty). Returns false, touching nothing,
+/// when some window reaches past a structural break -- the caller then
+/// runs the full pass.
+bool RunHybridDeltaPass(const Query& query,
+                        const std::vector<const Relation*>& rels,
+                        const std::vector<int>& rank,
+                        const std::vector<ReductionAtom>& atoms,
+                        SemijoinState* state, EvalStats* local,
+                        TrieOverrides* overrides) {
+  const std::size_t m = atoms.size();
+  const std::vector<FilterStep>& schedule = state->schedule;
+  bool gens_match = true;
+  std::vector<Relation::DeltaSet> deltas(m);
+  for (std::size_t i = 0; i < m; ++i) {
+    if (rels[i]->generation() != state->generations[i]) gens_match = false;
+    if (!rels[i]->DeltasSince(state->generations[i], &deltas[i])) {
+      return false;
+    }
+  }
+
+  // A tracked row is one whose reduction fate may differ from the cached
+  // books: appended, removed, killed, or revived. Everything untracked
+  // provably keeps its old fate.
+  struct TrackedRow {
+    std::uint32_t row;
+    bool present_new;        // live in the new relation state
+    bool appended;           // arrived in this delta window
+    std::uint32_t old_drop;  // old pass's first drop step, kNoDrop
+                             // if it survived (or just arrived)
+    std::uint32_t new_drop;  // new pass's first drop step so far
+  };
+  std::vector<std::vector<TrackedRow>> tracked(m);
+  std::vector<std::unordered_map<std::uint32_t, std::size_t>> tracked_idx(m);
+  auto track = [&tracked, &tracked_idx](std::size_t atom, TrackedRow t) {
+    tracked_idx[atom].emplace(t.row, tracked[atom].size());
+    tracked[atom].push_back(t);
+  };
+  auto old_drop_of = [state](std::size_t atom, std::uint32_t row) {
+    const auto& book = state->dropped[atom];
+    auto it = std::lower_bound(
+        book.begin(), book.end(), row,
+        [](const std::pair<std::uint32_t, std::uint32_t>& d,
+           std::uint32_t r) { return d.first < r; });
+    return (it != book.end() && it->first == row) ? it->second : kNoDrop;
+  };
+  for (std::size_t i = 0; i < m; ++i) {
+    const ColumnStore& store = rels[i]->store();
+    local->delta_tuples_processed +=
+        deltas[i].appended_rows.size() + deltas[i].removed_rows.size();
+    for (const std::uint32_t row : deltas[i].appended_rows) {
+      if (!SelfConsistent(atoms[i], store, row)) continue;
+      track(i, TrackedRow{row, true, true, kNoDrop, kNoDrop});
+    }
+    for (const std::uint32_t row : deltas[i].removed_rows) {
+      // Rows the base pass never saw (the repeated-variable filter) leave
+      // no books to balance. Their tombstoned columns stay readable until
+      // compaction, which DeltasSince already ruled out.
+      if (!SelfConsistent(atoms[i], store, row)) continue;
+      track(i, TrackedRow{row, false, false, old_drop_of(i, row), kNoDrop});
+    }
+  }
+
+  Tuple key;
+  std::unordered_map<Tuple, std::uint32_t, TupleHash> old_at_key;
+  std::unordered_set<Tuple, TupleHash> new_keys;
+  std::unordered_set<Tuple, TupleHash> vanished;
+  for (std::size_t s = 0; s < schedule.size(); ++s) {
+    const FilterStep& step = schedule[s];
+    auto& counts = state->step_counts[s];
+    const ColumnStore& src_store = rels[step.source]->store();
+    const ColumnStore& tgt_store = rels[step.target]->store();
+    const std::uint32_t s32 = static_cast<std::uint32_t>(s);
+    // Phase 1: adjust this step's support counts by every tracked source
+    // row whose aliveness-at-this-step changed, snapshotting each touched
+    // key's pre-step count.
+    key.assign(step.src_pos.size(), 0);
+    old_at_key.clear();
+    for (const TrackedRow& t : tracked[step.source]) {
+      const bool c_old = !t.appended && t.old_drop > s32;
+      const bool c_new = t.present_new && t.new_drop > s32;
+      if (c_old == c_new) continue;
+      for (std::size_t i = 0; i < step.src_pos.size(); ++i) {
+        key[i] = src_store.ValueAt(t.row, step.src_pos[i]);
+      }
+      auto cit = counts.find(key);
+      old_at_key.emplace(key, cit != counts.end() ? cit->second : 0u);
+      if (c_new) {
+        ++counts[key];
+      } else {
+        CQB_CHECK(cit != counts.end() && cit->second > 0);
+        --cit->second;
+      }
+    }
+    // Phase 2: net key transitions. Only 0 -> + and + -> 0 matter; a key
+    // removed and re-added within one window nets out, so no kill/revive
+    // cascade fires for it.
+    new_keys.clear();
+    vanished.clear();
+    for (const auto& entry : old_at_key) {
+      auto cit = counts.find(entry.first);
+      const std::uint32_t newc = cit != counts.end() ? cit->second : 0u;
+      if (entry.second == 0 && newc > 0) new_keys.insert(entry.first);
+      if (entry.second > 0 && newc == 0) {
+        vanished.insert(entry.first);
+        counts.erase(cit);
+      }
+    }
+    key.assign(step.tgt_pos.size(), 0);
+    // Phase 3: kills. A vanished key strands every target row that was
+    // leaning on it (alive at this step in the old pass); rows already
+    // tracked settle their fate in the re-check below.
+    if (!vanished.empty()) {
+      auto maybe_kill = [&](std::uint32_t row, std::uint32_t old_drop) {
+        if (tracked_idx[step.target].count(row)) return;
+        for (std::size_t i = 0; i < step.tgt_pos.size(); ++i) {
+          key[i] = tgt_store.ValueAt(row, step.tgt_pos[i]);
+        }
+        if (!vanished.count(key)) return;
+        track(step.target, TrackedRow{row, true, false, old_drop, s32});
+      };
+      for (const std::uint32_t row : state->survivors[step.target]) {
+        maybe_kill(row, kNoDrop);
+      }
+      for (const auto& d : state->dropped[step.target]) {
+        if (d.second > s32) maybe_kill(d.first, d.second);
+      }
+    }
+    // Phase 4: revivals. A key back from zero re-admits exactly the rows
+    // this step dropped for lacking it; later steps then judge them
+    // individually.
+    if (!new_keys.empty()) {
+      for (const auto& d : state->dropped[step.target]) {
+        if (d.second != s32) continue;
+        if (tracked_idx[step.target].count(d.first)) continue;
+        for (std::size_t i = 0; i < step.tgt_pos.size(); ++i) {
+          key[i] = tgt_store.ValueAt(d.first, step.tgt_pos[i]);
+        }
+        if (!new_keys.count(key)) continue;
+        track(step.target, TrackedRow{d.first, true, false, s32, kNoDrop});
+      }
+    }
+    // Phase 5: individual re-checks against the settled counts -- appended
+    // rows meet each step for the first time, and tracked rows past their
+    // old drop step have no recorded fate to reuse.
+    for (TrackedRow& t : tracked[step.target]) {
+      if (!t.present_new || t.new_drop != kNoDrop) continue;
+      if (!t.appended && t.old_drop > s32) continue;
+      for (std::size_t i = 0; i < step.tgt_pos.size(); ++i) {
+        key[i] = tgt_store.ValueAt(t.row, step.tgt_pos[i]);
+      }
+      if (!counts.count(key)) t.new_drop = s32;
+    }
+  }
+
+  if (gens_match) {
+    local->semijoin_pass_skipped = true;
+  } else {
+    local->semijoin_pass_ran = true;
+    local->semijoin_delta_pass = true;
+  }
+  for (std::size_t i = 0; i < m; ++i) {
+    state->generations[i] = rels[i]->generation();
+    if (tracked[i].empty()) {
+      if (state->survivor_tries[i] != nullptr) {
+        (*overrides)[i] = state->survivor_tries[i];
+        if (gens_match) ++local->survivor_view_hits;
+      }
+      local->semijoin_dangling_tuples += state->dropped[i].size();
+      continue;
+    }
+    // Stats plus the survivor-set delta (rows entering/leaving the view),
+    // which feeds both the row-set merge and the survivor trie unpatch.
+    RowView added(&rels[i]->store());
+    RowView gone(&rels[i]->store());
+    for (const TrackedRow& t : tracked[i]) {
+      const bool now_in = t.present_new && t.new_drop == kNoDrop;
+      const bool was_in = !t.appended && t.old_drop == kNoDrop;
+      if (now_in && !was_in) added.rows.push_back(t.row);
+      if (was_in && !now_in) gone.rows.push_back(t.row);
+      if (!t.appended && t.present_new) {
+        if (t.old_drop != kNoDrop && t.new_drop == kNoDrop) {
+          ++local->semijoin_revived_tuples;
+        }
+        if (t.old_drop == kNoDrop && t.new_drop != kNoDrop) {
+          ++local->semijoin_killed_tuples;
+        }
+      }
+      if (t.present_new && t.new_drop != kNoDrop &&
+          (t.appended || t.old_drop == kNoDrop)) {
+        ++local->semijoin_dropped_tuples;
+      }
+    }
+    std::sort(added.rows.begin(), added.rows.end());
+    std::sort(gone.rows.begin(), gone.rows.end());
+    std::vector<std::uint32_t>& survivors = state->survivors[i];
+    if (!added.rows.empty() || !gone.rows.empty()) {
+      // One sorted merge: old survivors minus departures plus arrivals
+      // (appended rows sit past every old row; revived rows interleave).
+      std::vector<std::uint32_t> next;
+      next.reserve(survivors.size() + added.rows.size());
+      std::size_t a = 0;
+      std::size_t g = 0;
+      for (const std::uint32_t row : survivors) {
+        while (a < added.rows.size() && added.rows[a] < row) {
+          next.push_back(added.rows[a++]);
+        }
+        if (g < gone.rows.size() && gone.rows[g] == row) {
+          ++g;
+          continue;
+        }
+        next.push_back(row);
+      }
+      while (a < added.rows.size()) next.push_back(added.rows[a++]);
+      survivors = std::move(next);
+    }
+    // The dropped book: rows that left the relation or revived go off the
+    // books, re-dropped rows get their new step, fresh danglers (killed or
+    // appended-and-dropped) come on.
+    std::vector<std::pair<std::uint32_t, std::uint32_t>>& book =
+        state->dropped[i];
+    std::vector<std::pair<std::uint32_t, std::uint32_t>> next_book;
+    next_book.reserve(book.size() + tracked[i].size());
+    for (const auto& d : book) {
+      auto it = tracked_idx[i].find(d.first);
+      if (it == tracked_idx[i].end()) {
+        next_book.push_back(d);
+        continue;
+      }
+      const TrackedRow& t = tracked[i][it->second];
+      if (t.present_new && t.new_drop != kNoDrop) {
+        next_book.emplace_back(d.first, t.new_drop);
+      }
+    }
+    for (const TrackedRow& t : tracked[i]) {
+      const bool was_dropped = !t.appended && t.old_drop != kNoDrop;
+      if (was_dropped) continue;  // settled above
+      if (t.present_new && t.new_drop != kNoDrop) {
+        next_book.emplace_back(t.row, t.new_drop);
+      }
+    }
+    std::sort(next_book.begin(), next_book.end());
+    book = std::move(next_book);
+    state->all_survive[i] = book.empty();
+    local->semijoin_dangling_tuples += book.size();
+    if (book.empty()) {
+      // Every live tuple survives again: the trie tier's full-relation
+      // trie serves enumeration, no view needed.
+      state->survivor_tries[i] = nullptr;
+    } else if (added.rows.empty() && gone.rows.empty() &&
+               state->survivor_tries[i] != nullptr) {
+      // Only the books moved (e.g. a dropped row re-dropped at another
+      // step); the survivor row set -- and its cached view -- are
+      // unchanged. A null cached view does NOT qualify: it stood for
+      // "every live row survives", and the base relation may just have
+      // grown past the survivors (an appended row that arrived dangling).
+      (*overrides)[i] = state->survivor_tries[i];
+    } else if (state->survivor_tries[i] != nullptr) {
+      // Unpatch the cached survivor view by the row delta instead of
+      // rebuilding it over the full survivor set.
+      AtomLayout layout = LayoutForAtom(query.atoms()[i], rank);
+      ++local->trie_cache_misses;
+      auto trie = std::make_shared<const TrieIndex>(
+          *state->survivor_tries[i], added, gone, layout.level_positions);
+      local->indexed_tuples += trie->num_tuples();
+      state->survivor_tries[i] = trie;
+      (*overrides)[i] = trie;
+    } else {
+      // First drops for this atom since the full pass: no cached view to
+      // unpatch, build one over the survivor set.
+      RowView view(&rels[i]->store());
+      view.rows = survivors;
+      state->survivor_tries[i] =
+          BuildSurvivorTrie(query.atoms()[i], rank, view, local);
+      (*overrides)[i] = state->survivor_tries[i];
+    }
+  }
+  return true;
+}
+
+/// The kHybridYannakakis executor. Probes the query's variable-intersection
+/// graph through `ctx`'s plan tier (only the first evaluation of a query
+/// shape pays for TreewidthExact); on width <= kHybridWidthThreshold it
+/// reduces every atom by semi-joins up and down the certified
+/// TreeDecomposition and then enumerates with the generic join over the
+/// reduced relations, binding along the reverse elimination order.
+/// Otherwise it is exactly the generic join over DefaultGenericJoinOrder.
+/// The reduction is zero-copy: atoms that lost tuples hand a borrowed
+/// filtered view of their survivors straight to trie construction. It runs
+/// as a delta pass over the plan's cached SemijoinState when there is one
+/// the journal can still bring up to date, and as a full pass otherwise;
+/// the whole decision and either pass run under the plan's mutex, so
+/// concurrent post-mutation evaluations of one shape serialize the pass and
+/// the late arrivals find matching generations (an empty delta pass)
+/// instead of duplicating the work. Mutations themselves never overlap
+/// evaluations (the context's readers-xor-writer contract), so the
+/// generation vector cannot move underneath the pass. A fully warm run on
+/// unchanged generations performs zero TreewidthExact calls, zero
+/// semi-joins, zero trie builds and zero tuple copies.
+Result<Relation> HybridYannakakisImpl(const Query& query, const Database& db,
+                                      EvalContext* ctx, ThreadPool* pool,
+                                      EvalStats* local) {
+  // Resolve before planning so metadata errors surface identically to the
+  // other plans.
+  std::vector<const Relation*> rels;
+  CQB_ASSIGN_OR_RETURN(rels, ResolveAtoms(query, db));
+
+  EvalContext::CachedPlan& plan = ctx->GetPlan(query, local);
+  if (!plan.probe.low_width) {
+    return GenericJoinImpl(query, db, DefaultGenericJoinOrder(query), ctx,
+                           pool, /*overrides=*/nullptr, local);
+  }
+  // The certified reverse elimination order (the same order
+  // ChooseGenericJoinOrder's tree path picks), with the atoms pre-filtered
+  // through the certified decomposition.
+  const std::vector<int>& order = plan.probe.order;
+  std::vector<int> rank(query.num_variables(), -1);
+  for (std::size_t d = 0; d < order.size(); ++d) {
+    rank[order[d]] = static_cast<int>(d);
+  }
+  std::vector<ReductionAtom> atoms;
+  atoms.reserve(query.atoms().size());
+  for (const Atom& atom : query.atoms()) {
+    atoms.push_back(MakeReductionAtom(atom));
+  }
+  TrieOverrides overrides(query.atoms().size());
+  {
+    MutexLock lock(plan.skip_mu);
+    if (plan.semijoin == nullptr ||
+        !RunHybridDeltaPass(query, rels, rank, atoms, plan.semijoin.get(),
+                            local, &overrides)) {
+      RunHybridFullPass(query, rels, rank, &atoms, plan, local, &overrides);
+    }
+  }
+  return GenericJoinImpl(query, db, order, ctx, pool, &overrides, local);
 }
 
 }  // namespace
@@ -741,507 +1382,25 @@ LowWidthProbe ProbeLowWidthStructure(const Query& query) {
 
 Result<Relation> EvaluateGenericJoin(const Query& query, const Database& db,
                                      const std::vector<int>& variable_order,
-                                     EvalContext* ctx, ThreadPool* pool,
                                      EvalStats* stats) {
   if (stats != nullptr) *stats = EvalStats{};
-  CQB_RETURN_NOT_OK(CheckContextDatabase(ctx, db));
+  EvalContext scratch(db);
   EvalStats local;
-  auto result = GenericJoinImpl(query, db, variable_order, ctx, pool,
-                                /*overrides=*/nullptr, &local);
-  if (result.ok() && stats != nullptr) *stats = std::move(local);
-  return result;
-}
-
-Result<Relation> EvaluateGenericJoin(const Query& query, const Database& db,
-                                     const std::vector<int>& variable_order,
-                                     EvalContext* ctx, EvalStats* stats) {
-  return EvaluateGenericJoin(query, db, variable_order, ctx, /*pool=*/nullptr,
-                             stats);
-}
-
-Result<Relation> EvaluateGenericJoin(const Query& query, const Database& db,
-                                     const std::vector<int>& variable_order,
-                                     EvalStats* stats) {
-  return EvaluateGenericJoin(query, db, variable_order, /*ctx=*/nullptr,
-                             /*pool=*/nullptr, stats);
-}
-
-Result<Relation> EvaluateHybridYannakakis(const Query& query,
-                                          const Database& db, EvalContext* ctx,
-                                          ThreadPool* pool, EvalStats* stats) {
-  if (stats != nullptr) *stats = EvalStats{};
-  CQB_RETURN_NOT_OK(CheckContextDatabase(ctx, db));
-
-  // Resolve every atom before planning so metadata errors surface
-  // identically to the other plans.
-  std::vector<const Relation*> rels;
-  rels.reserve(query.atoms().size());
-  for (const Atom& atom : query.atoms()) {
-    const Relation* rel;
-    CQB_ASSIGN_OR_RETURN(rel, ResolveAtom(atom, db));
-    rels.push_back(rel);
-  }
-
-  EvalStats local;
-
-  // Plan tier: with a context the width probe (the TreewidthExact call and
-  // the graph build feeding it) runs once per query shape and is served
-  // from the cache afterwards -- warm runs perform zero probes. Without a
-  // context the per-call transient probe counts as a plan miss, mirroring
-  // the trie tier's convention.
-  EvalContext::CachedPlan* plan = nullptr;
-  LowWidthProbe transient_probe;
-  const LowWidthProbe* probe;
-  if (ctx != nullptr) {
-    plan = &ctx->GetPlan(query, &local);
-    probe = &plan->probe;
-  } else {
-    ++local.plan_cache_misses;
-    transient_probe = ProbeLowWidthStructure(query);
-    if (transient_probe.probe_ran) ++local.treewidth_probe_runs;
-    probe = &transient_probe;
-  }
-
-  std::vector<int> order;
-  TrieOverrides overrides(query.atoms().size());
-  if (probe->low_width) {
-    // The certified reverse elimination order (the same order
-    // ChooseGenericJoinOrder's tree path picks), with the atoms
-    // pre-filtered through the certified decomposition.
-    order = probe->order;
-    const std::size_t m = query.atoms().size();
-
-    // Survivor tries must use the same layout the enumeration derives from
-    // the binding order, or the override would not line up with the
-    // leapfrog's levels.
-    std::vector<int> rank(query.num_variables(), -1);
-    for (std::size_t d = 0; d < order.size(); ++d) {
-      rank[order[d]] = static_cast<int>(d);
-    }
-    auto build_survivor_trie = [&query, &rank,
-                                &local](std::size_t i, const RowView& view) {
-      AtomLayout layout = LayoutForAtom(query.atoms()[i], rank);
-      ++local.trie_cache_misses;
-      auto trie =
-          std::make_shared<const TrieIndex>(view, layout.level_positions);
-      local.indexed_tuples += trie->num_tuples();
-      return trie;
-    };
-
-    std::vector<ReductionAtom> atoms;
-    atoms.reserve(m);
-    for (const Atom& atom : query.atoms()) {
-      atoms.push_back(MakeReductionAtom(atom));
-    }
-
-    if (plan != nullptr) {
-      // Delta-aware path. The whole decision (reuse / delta / full) and
-      // any pass run under the plan's mutex: concurrent post-mutation
-      // evaluations of one shape serialize the pass, and the late arrivals
-      // then find matching generations and reuse the fresh survivor views
-      // instead of duplicating the work. Mutations themselves never
-      // overlap evaluations (the context's readers-xor-writer contract),
-      // so the generation vector cannot move underneath the pass.
-      MutexLock lock(plan->skip_mu);
-      EvalContext::SemijoinState* state = plan->semijoin.get();
-      bool gens_match =
-          state != nullptr && state->generations.size() == m;
-      if (gens_match) {
-        for (std::size_t i = 0; i < m; ++i) {
-          if (rels[i]->generation() != state->generations[i]) {
-            gens_match = false;
-            break;
-          }
-        }
-      }
-      if (gens_match) {
-        // Survivor-view cache hit: the generation vector matches the
-        // state's key, so the previous pass's outcome -- clean or not --
-        // is still exact. Atoms that lost tuples reuse their cached
-        // survivor tries; the rest go through the trie tier as usual.
-        local.semijoin_pass_skipped = true;
-        for (std::size_t i = 0; i < m; ++i) {
-          if (i < state->dropped.size()) {
-            local.semijoin_dangling_tuples += state->dropped[i].size();
-          }
-          if (state->survivor_tries[i] != nullptr) {
-            overrides[i] = state->survivor_tries[i];
-            ++local.survivor_view_hits;
-          }
-        }
-      } else if (!AssignBags(probe->tw.decomposition, probe->dense, &atoms)) {
-        // Uncertified bag assignment: abandon the pass visibly (ran stays
-        // false) and drop any cached state rather than serving views that
-        // no schedule can maintain.
-        plan->semijoin.reset();
-      } else {
-        const std::vector<FilterStep> schedule = BuildFilterSchedule(atoms);
-        // The counting delta pass extends any cached state -- clean or
-        // dirty -- whose per-atom mutation window the journal can still
-        // name both sides of (Relation::DeltasSince). Per step it adjusts
-        // the cached key support counts by the rows entering or leaving
-        // the source atom, then propagates only the *net* key transitions:
-        // a key newly at support zero kills the target tuples leaning on
-        // it, a key back from zero *revives* exactly the tuples this step
-        // dropped for lacking it, and appended or revived tuples meet each
-        // later step individually. Kills and revivals cascade (a changed
-        // row is tracked, so it re-enters phase one wherever its atom is a
-        // source), and the resulting survivor sets are identical to a
-        // from-scratch pass. Cost is O(delta . index work) plus one
-        // target-atom scan per step whose key set lost a member.
-        std::vector<Relation::DeltaSet> deltas(m);
-        bool delta_ok = state != nullptr && state->generations.size() == m &&
-                        state->step_counts.size() == schedule.size() &&
-                        state->survivors.size() == m &&
-                        state->dropped.size() == m;
-        if (delta_ok) {
-          for (std::size_t i = 0; i < m; ++i) {
-            if (!rels[i]->DeltasSince(state->generations[i], &deltas[i])) {
-              delta_ok = false;
-              break;
-            }
-          }
-        }
-        if (delta_ok) {
-          // A tracked row is one whose reduction fate may differ from the
-          // cached books: appended, removed, killed, or revived. Everything
-          // untracked provably keeps its old fate.
-          struct TrackedRow {
-            std::uint32_t row;
-            bool present_new;        // live in the new relation state
-            bool appended;           // arrived in this delta window
-            std::uint32_t old_drop;  // old pass's first drop step, kNoDrop
-                                     // if it survived (or just arrived)
-            std::uint32_t new_drop;  // new pass's first drop step so far
-          };
-          std::vector<std::vector<TrackedRow>> tracked(m);
-          std::vector<std::unordered_map<std::uint32_t, std::size_t>>
-              tracked_idx(m);
-          auto track = [&tracked, &tracked_idx](std::size_t atom,
-                                                TrackedRow t) {
-            tracked_idx[atom].emplace(t.row, tracked[atom].size());
-            tracked[atom].push_back(t);
-          };
-          auto old_drop_of = [state](std::size_t atom, std::uint32_t row) {
-            const auto& book = state->dropped[atom];
-            auto it = std::lower_bound(
-                book.begin(), book.end(), row,
-                [](const std::pair<std::uint32_t, std::uint32_t>& d,
-                   std::uint32_t r) { return d.first < r; });
-            return (it != book.end() && it->first == row) ? it->second
-                                                          : kNoDrop;
-          };
-          for (std::size_t i = 0; i < m; ++i) {
-            const ColumnStore& store = rels[i]->store();
-            local.delta_tuples_processed +=
-                deltas[i].appended_rows.size() + deltas[i].removed_rows.size();
-            for (const std::uint32_t row : deltas[i].appended_rows) {
-              if (!SelfConsistent(atoms[i], store, row)) continue;
-              track(i, TrackedRow{row, true, true, kNoDrop, kNoDrop});
-            }
-            for (const std::uint32_t row : deltas[i].removed_rows) {
-              // Rows the base pass never saw (the repeated-variable
-              // filter) leave no books to balance. Their tombstoned
-              // columns stay readable until compaction, which DeltasSince
-              // already ruled out.
-              if (!SelfConsistent(atoms[i], store, row)) continue;
-              track(i,
-                    TrackedRow{row, false, false, old_drop_of(i, row),
-                               kNoDrop});
-            }
-          }
-
-          Tuple key;
-          std::unordered_map<Tuple, std::uint32_t, TupleHash> old_at_key;
-          std::unordered_set<Tuple, TupleHash> new_keys;
-          std::unordered_set<Tuple, TupleHash> vanished;
-          for (std::size_t s = 0; s < schedule.size(); ++s) {
-            const FilterStep& step = schedule[s];
-            auto& counts = state->step_counts[s];
-            const ColumnStore& src_store = rels[step.source]->store();
-            const ColumnStore& tgt_store = rels[step.target]->store();
-            const std::uint32_t s32 = static_cast<std::uint32_t>(s);
-            // Phase 1: adjust this step's support counts by every tracked
-            // source row whose aliveness-at-this-step changed, snapshotting
-            // each touched key's pre-step count.
-            key.assign(step.src_pos.size(), 0);
-            old_at_key.clear();
-            for (const TrackedRow& t : tracked[step.source]) {
-              const bool c_old = !t.appended && t.old_drop > s32;
-              const bool c_new = t.present_new && t.new_drop > s32;
-              if (c_old == c_new) continue;
-              for (std::size_t i = 0; i < step.src_pos.size(); ++i) {
-                key[i] = src_store.ValueAt(t.row, step.src_pos[i]);
-              }
-              auto cit = counts.find(key);
-              old_at_key.emplace(key,
-                                 cit != counts.end() ? cit->second : 0u);
-              if (c_new) {
-                ++counts[key];
-              } else {
-                CQB_CHECK(cit != counts.end() && cit->second > 0);
-                --cit->second;
-              }
-            }
-            // Phase 2: net key transitions. Only 0 -> + and + -> 0 matter;
-            // a key removed and re-added within one window nets out, so no
-            // kill/revive cascade fires for it.
-            new_keys.clear();
-            vanished.clear();
-            for (const auto& entry : old_at_key) {
-              auto cit = counts.find(entry.first);
-              const std::uint32_t newc =
-                  cit != counts.end() ? cit->second : 0u;
-              if (entry.second == 0 && newc > 0) new_keys.insert(entry.first);
-              if (entry.second > 0 && newc == 0) {
-                vanished.insert(entry.first);
-                counts.erase(cit);
-              }
-            }
-            key.assign(step.tgt_pos.size(), 0);
-            // Phase 3: kills. A vanished key strands every target row that
-            // was leaning on it (alive at this step in the old pass); rows
-            // already tracked settle their fate in the re-check below.
-            if (!vanished.empty()) {
-              auto maybe_kill = [&](std::uint32_t row,
-                                    std::uint32_t old_drop) {
-                if (tracked_idx[step.target].count(row)) return;
-                for (std::size_t i = 0; i < step.tgt_pos.size(); ++i) {
-                  key[i] = tgt_store.ValueAt(row, step.tgt_pos[i]);
-                }
-                if (!vanished.count(key)) return;
-                track(step.target, TrackedRow{row, true, false, old_drop, s32});
-              };
-              for (const std::uint32_t row : state->survivors[step.target]) {
-                maybe_kill(row, kNoDrop);
-              }
-              for (const auto& d : state->dropped[step.target]) {
-                if (d.second > s32) maybe_kill(d.first, d.second);
-              }
-            }
-            // Phase 4: revivals. A key back from zero re-admits exactly the
-            // rows this step dropped for lacking it; later steps then judge
-            // them individually.
-            if (!new_keys.empty()) {
-              for (const auto& d : state->dropped[step.target]) {
-                if (d.second != s32) continue;
-                if (tracked_idx[step.target].count(d.first)) continue;
-                for (std::size_t i = 0; i < step.tgt_pos.size(); ++i) {
-                  key[i] = tgt_store.ValueAt(d.first, step.tgt_pos[i]);
-                }
-                if (!new_keys.count(key)) continue;
-                track(step.target,
-                      TrackedRow{d.first, true, false, s32, kNoDrop});
-              }
-            }
-            // Phase 5: individual re-checks against the settled counts --
-            // appended rows meet each step for the first time, and tracked
-            // rows past their old drop step have no recorded fate to reuse.
-            for (TrackedRow& t : tracked[step.target]) {
-              if (!t.present_new || t.new_drop != kNoDrop) continue;
-              if (!t.appended && t.old_drop > s32) continue;
-              for (std::size_t i = 0; i < step.tgt_pos.size(); ++i) {
-                key[i] = tgt_store.ValueAt(t.row, step.tgt_pos[i]);
-              }
-              if (!counts.count(key)) t.new_drop = s32;
-            }
-          }
-
-          local.semijoin_pass_ran = true;
-          local.semijoin_delta_pass = true;
-          for (std::size_t i = 0; i < m; ++i) {
-            state->generations[i] = rels[i]->generation();
-            if (tracked[i].empty()) {
-              if (state->survivor_tries[i] != nullptr) {
-                overrides[i] = state->survivor_tries[i];
-              }
-              local.semijoin_dangling_tuples += state->dropped[i].size();
-              continue;
-            }
-            // Stats plus the survivor-set delta (rows entering/leaving the
-            // view), which feeds both the row-set merge and the survivor
-            // trie unpatch.
-            RowView added(&rels[i]->store());
-            RowView gone(&rels[i]->store());
-            for (const TrackedRow& t : tracked[i]) {
-              const bool now_in = t.present_new && t.new_drop == kNoDrop;
-              const bool was_in = !t.appended && t.old_drop == kNoDrop;
-              if (now_in && !was_in) added.rows.push_back(t.row);
-              if (was_in && !now_in) gone.rows.push_back(t.row);
-              if (!t.appended && t.present_new) {
-                if (t.old_drop != kNoDrop && t.new_drop == kNoDrop) {
-                  ++local.semijoin_revived_tuples;
-                }
-                if (t.old_drop == kNoDrop && t.new_drop != kNoDrop) {
-                  ++local.semijoin_killed_tuples;
-                }
-              }
-              if (t.present_new && t.new_drop != kNoDrop &&
-                  (t.appended || t.old_drop == kNoDrop)) {
-                ++local.semijoin_dropped_tuples;
-              }
-            }
-            std::sort(added.rows.begin(), added.rows.end());
-            std::sort(gone.rows.begin(), gone.rows.end());
-            std::vector<std::uint32_t>& survivors = state->survivors[i];
-            if (!added.rows.empty() || !gone.rows.empty()) {
-              // One sorted merge: old survivors minus departures plus
-              // arrivals (appended rows sit past every old row; revived
-              // rows interleave).
-              std::vector<std::uint32_t> next;
-              next.reserve(survivors.size() + added.rows.size());
-              std::size_t a = 0;
-              std::size_t g = 0;
-              for (const std::uint32_t row : survivors) {
-                while (a < added.rows.size() && added.rows[a] < row) {
-                  next.push_back(added.rows[a++]);
-                }
-                if (g < gone.rows.size() && gone.rows[g] == row) {
-                  ++g;
-                  continue;
-                }
-                next.push_back(row);
-              }
-              while (a < added.rows.size()) next.push_back(added.rows[a++]);
-              survivors = std::move(next);
-            }
-            // The dropped book: rows that left the relation or revived go
-            // off the books, re-dropped rows get their new step, fresh
-            // danglers (killed or appended-and-dropped) come on.
-            std::vector<std::pair<std::uint32_t, std::uint32_t>>& book =
-                state->dropped[i];
-            std::vector<std::pair<std::uint32_t, std::uint32_t>> next_book;
-            next_book.reserve(book.size() + tracked[i].size());
-            for (const auto& d : book) {
-              auto it = tracked_idx[i].find(d.first);
-              if (it == tracked_idx[i].end()) {
-                next_book.push_back(d);
-                continue;
-              }
-              const TrackedRow& t = tracked[i][it->second];
-              if (t.present_new && t.new_drop != kNoDrop) {
-                next_book.emplace_back(d.first, t.new_drop);
-              }
-            }
-            for (const TrackedRow& t : tracked[i]) {
-              const bool was_dropped = !t.appended && t.old_drop != kNoDrop;
-              if (was_dropped) continue;  // settled above
-              if (t.present_new && t.new_drop != kNoDrop) {
-                next_book.emplace_back(t.row, t.new_drop);
-              }
-            }
-            std::sort(next_book.begin(), next_book.end());
-            book = std::move(next_book);
-            state->all_survive[i] = book.empty();
-            local.semijoin_dangling_tuples += book.size();
-            if (book.empty()) {
-              // Every live tuple survives again: the trie tier's
-              // full-relation trie serves enumeration, no view needed.
-              state->survivor_tries[i] = nullptr;
-            } else if (added.rows.empty() && gone.rows.empty() &&
-                       state->survivor_tries[i] != nullptr) {
-              // Only the books moved (e.g. a dropped row re-dropped at
-              // another step); the survivor row set -- and its cached
-              // view -- are unchanged. A null cached view does NOT
-              // qualify: it stood for "every live row survives", and the
-              // base relation may just have grown past the survivors
-              // (an appended row that arrived dangling).
-              overrides[i] = state->survivor_tries[i];
-            } else if (state->survivor_tries[i] != nullptr) {
-              // Unpatch the cached survivor view by the row delta instead
-              // of rebuilding it over the full survivor set.
-              AtomLayout layout = LayoutForAtom(query.atoms()[i], rank);
-              ++local.trie_cache_misses;
-              auto trie = std::make_shared<const TrieIndex>(
-                  *state->survivor_tries[i], added, gone,
-                  layout.level_positions);
-              local.indexed_tuples += trie->num_tuples();
-              state->survivor_tries[i] = trie;
-              overrides[i] = trie;
-            } else {
-              // First drops for this atom since the full pass: no cached
-              // view to unpatch, build one over the survivor set.
-              RowView view(&rels[i]->store());
-              view.rows = survivors;
-              state->survivor_tries[i] = build_survivor_trie(i, view);
-              overrides[i] = state->survivor_tries[i];
-            }
-          }
-        } else {
-          // Full pass: collect every atom's survivors, run the schedule,
-          // and persist the per-step support counts plus the per-atom
-          // survivor/dropped books into a fresh state for the next delta.
-          for (std::size_t i = 0; i < m; ++i) {
-            atoms[i].store = &rels[i]->store();
-            atoms[i].rows.reserve(rels[i]->size());
-            CollectSelfConsistent(atoms[i], rels[i]->store(), 0,
-                                  &atoms[i].rows);
-            atoms[i].initial = atoms[i].rows.size();
-          }
-          auto fresh = std::make_unique<EvalContext::SemijoinState>();
-          RunFullPass(schedule, &atoms, &fresh->step_counts, &fresh->dropped);
-          local.semijoin_pass_ran = true;
-          fresh->generations.reserve(m);
-          for (const Relation* rel : rels) {
-            fresh->generations.push_back(rel->generation());
-          }
-          fresh->all_survive.assign(m, true);
-          fresh->survivor_tries.assign(m, nullptr);
-          fresh->survivors.resize(m);
-          for (std::size_t i = 0; i < m; ++i) {
-            const std::size_t dropped =
-                atoms[i].initial - atoms[i].rows.size();
-            fresh->survivors[i] = std::move(atoms[i].rows);
-            if (dropped == 0) continue;  // full-relation trie stays usable
-            local.semijoin_dropped_tuples += dropped;
-            local.semijoin_dangling_tuples += dropped;
-            fresh->all_survive[i] = false;
-            RowView view(atoms[i].store);
-            view.rows = fresh->survivors[i];
-            fresh->survivor_tries[i] = build_survivor_trie(i, view);
-            overrides[i] = fresh->survivor_tries[i];
-          }
-          plan->semijoin = std::move(fresh);
-        }
-      }
-    } else if (AssignBags(probe->tw.decomposition, probe->dense, &atoms)) {
-      // No context: the transient pass, exactly the cold path minus the
-      // capture and the published state.
-      for (std::size_t i = 0; i < m; ++i) {
-        atoms[i].store = &rels[i]->store();
-        atoms[i].rows.reserve(rels[i]->size());
-        CollectSelfConsistent(atoms[i], rels[i]->store(), 0,
-                              &atoms[i].rows);
-        atoms[i].initial = atoms[i].rows.size();
-      }
-      const std::vector<FilterStep> schedule = BuildFilterSchedule(atoms);
-      RunFullPass(schedule, &atoms, nullptr, nullptr);
-      local.semijoin_pass_ran = true;
-      for (std::size_t i = 0; i < m; ++i) {
-        const std::size_t dropped = atoms[i].initial - atoms[i].rows.size();
-        if (dropped == 0) continue;
-        local.semijoin_dropped_tuples += dropped;
-        local.semijoin_dangling_tuples += dropped;
-        RowView view(atoms[i].store);
-        view.rows = std::move(atoms[i].rows);
-        overrides[i] = build_survivor_trie(i, view);
-      }
-    }
-  } else {
-    order = DefaultGenericJoinOrder(query);
-  }
-
-  auto result = GenericJoinImpl(query, db, order, ctx, pool,
-                                probe->low_width ? &overrides : nullptr,
+  auto result = GenericJoinImpl(query, db, variable_order, &scratch,
+                                /*pool=*/nullptr, /*overrides=*/nullptr,
                                 &local);
   if (result.ok() && stats != nullptr) *stats = std::move(local);
   return result;
 }
 
-Result<Relation> EvaluateHybridYannakakis(const Query& query,
-                                          const Database& db, EvalContext* ctx,
-                                          EvalStats* stats) {
-  return EvaluateHybridYannakakis(query, db, ctx, /*pool=*/nullptr, stats);
+Result<Relation> ExecuteJoinSteps(const Query& query,
+                                  const std::vector<JoinPlanStep>& steps,
+                                  const Database& db, EvalStats* stats) {
+  if (stats != nullptr) *stats = EvalStats{};
+  EvalStats local;
+  auto result = BinaryJoinImpl(query, steps, db, &local);
+  if (result.ok() && stats != nullptr) *stats = std::move(local);
+  return result;
 }
 
 const char* PlanKindName(PlanKind kind) {
@@ -1301,176 +1460,30 @@ std::vector<int> DefaultGenericJoinOrder(const Query& query) {
 Result<Relation> EvaluateQuery(const Query& query, const Database& db,
                                PlanKind kind, EvalContext* ctx,
                                ThreadPool* pool, EvalStats* stats) {
-  if (kind == PlanKind::kGenericJoin) {
-    return EvaluateGenericJoin(query, db, DefaultGenericJoinOrder(query), ctx,
-                               pool, stats);
-  }
-  if (kind == PlanKind::kHybridYannakakis) {
-    return EvaluateHybridYannakakis(query, db, ctx, pool, stats);
-  }
-
-  // Binary-join plans: `ctx` is accepted for interface uniformity but the
-  // per-step hash indexes are query-position-specific and not cached.
   if (stats != nullptr) *stats = EvalStats{};
-  CQB_RETURN_NOT_OK(CheckContextDatabase(ctx, db));
+  std::optional<EvalContext> scratch;
+  CQB_RETURN_NOT_OK(CheckContextDatabase(db, &ctx, &scratch));
   EvalStats local;
-  // Bindings are tuples over `bound_vars` (parallel layout); var_slot maps
-  // a variable id to its position in `bound_vars` (-1 when unbound), so
-  // per-atom binding lookups are O(1) instead of a std::find scan per
-  // position (quadratic in the variable count).
-  std::vector<int> bound_vars;
-  std::vector<int> var_slot(query.num_variables(), -1);
-  std::vector<Tuple> bindings = {Tuple{}};
-  const std::vector<std::set<int>> needed_after =
-      kind == PlanKind::kJoinProject ? NeededVarsBySuffix(query)
-                                     : std::vector<std::set<int>>();
-
-  for (std::size_t step = 0; step < query.atoms().size(); ++step) {
-    const Atom& atom = query.atoms()[step];
-    const Relation* rel;
-    CQB_ASSIGN_OR_RETURN(rel, ResolveAtom(atom, db));
-
-    // Once no binding survives, the result is empty whatever the remaining
-    // atoms hold: skip their index construction (but keep the metadata
-    // checks above, so missing relations still error deterministically).
-    if (bindings.empty()) {
-      local.intermediate_sizes.push_back(0);
-      continue;
+  auto run = [&]() -> Result<Relation> {
+    switch (kind) {
+      case PlanKind::kNaive:
+      case PlanKind::kJoinProject:
+        // The per-step hash indexes are query-position-specific and not
+        // cached, so the binary-join plans read no context state.
+        return BinaryJoinImpl(
+            query, BodyOrderSteps(query, kind == PlanKind::kJoinProject), db,
+            &local);
+      case PlanKind::kGenericJoin:
+        return GenericJoinImpl(query, db, DefaultGenericJoinOrder(query), ctx,
+                               pool, /*overrides=*/nullptr, &local);
+      case PlanKind::kHybridYannakakis:
+        return HybridYannakakisImpl(query, db, ctx, pool, &local);
     }
-
-    // Split the atom's positions into join positions (variable already
-    // bound) and new positions (first occurrence of a new variable).
-    std::vector<std::pair<int, int>> join_pos;  // (atom position, binding idx)
-    std::vector<std::pair<int, int>> new_pos;   // (atom position, new var)
-    std::vector<int> first_seen(query.num_variables(), -1);
-    for (std::size_t p = 0; p < atom.vars.size(); ++p) {
-      int var = atom.vars[p];
-      if (var_slot[var] >= 0) {
-        join_pos.emplace_back(static_cast<int>(p), var_slot[var]);
-      } else if (first_seen[var] >= 0) {
-        // Repeated new variable inside the atom: equality filter against its
-        // first occurrence, handled below during indexing.
-        join_pos.emplace_back(static_cast<int>(p), -1 - first_seen[var]);
-      } else {
-        first_seen[var] = static_cast<int>(p);
-        new_pos.emplace_back(static_cast<int>(p), var);
-      }
-    }
-
-    // Index the relation on the join-key values, reading the key columns
-    // straight from the store (row ids, not tuple pointers -- nothing is
-    // materialized). Rows violating intra-atom repeated-variable equality
-    // are skipped; the equality check compares dictionary codes.
-    const ColumnStore& store = rel->store();
-    std::unordered_map<Tuple, std::vector<std::uint32_t>, TupleHash> index;
-    Tuple ikey;
-    for (std::size_t row = 0; row < store.size(); ++row) {
-      if (!store.IsLive(row)) continue;
-      bool self_consistent = true;
-      ikey.clear();
-      for (const auto& [pos, ref] : join_pos) {
-        if (ref < 0) {
-          const int first_pos = -1 - ref;
-          if (store.CodeAt(row, pos) != store.CodeAt(row, first_pos)) {
-            self_consistent = false;
-            break;
-          }
-        } else {
-          ikey.push_back(store.ValueAt(row, pos));
-        }
-      }
-      if (self_consistent) {
-        index[ikey].push_back(static_cast<std::uint32_t>(row));
-        ++local.indexed_tuples;
-      }
-    }
-
-    // Probe.
-    std::vector<int> next_vars = bound_vars;
-    for (const auto& [pos, var] : new_pos) {
-      (void)pos;
-      var_slot[var] = static_cast<int>(next_vars.size());
-      next_vars.push_back(var);
-    }
-    std::vector<Tuple> next;
-    for (const Tuple& binding : bindings) {
-      Tuple key;
-      for (const auto& [pos, ref] : join_pos) {
-        (void)pos;
-        if (ref >= 0) key.push_back(binding[ref]);
-      }
-      auto it = index.find(key);
-      if (it == index.end()) continue;
-      for (const std::uint32_t row : it->second) {
-        Tuple extended = binding;
-        for (const auto& [pos, var] : new_pos) {
-          (void)var;
-          extended.push_back(store.ValueAt(row, pos));
-        }
-        next.push_back(std::move(extended));
-      }
-    }
-    bound_vars = std::move(next_vars);
-    bindings = std::move(next);
-
-    if (kind == PlanKind::kJoinProject) {
-      // Keep only the variables needed by the head or by future atoms.
-      const std::set<int>& needed = needed_after[step + 1];
-      std::vector<int> kept_positions;
-      std::vector<int> kept_vars;
-      for (std::size_t i = 0; i < bound_vars.size(); ++i) {
-        if (needed.count(bound_vars[i])) {
-          kept_positions.push_back(static_cast<int>(i));
-          kept_vars.push_back(bound_vars[i]);
-        }
-      }
-      if (kept_vars.size() != bound_vars.size()) {
-        std::unordered_set<Tuple, TupleHash> dedup;
-        std::vector<Tuple> projected;
-        for (const Tuple& binding : bindings) {
-          Tuple p;
-          p.reserve(kept_positions.size());
-          for (int pos : kept_positions) p.push_back(binding[pos]);
-          if (dedup.insert(p).second) projected.push_back(std::move(p));
-        }
-        for (int v : bound_vars) var_slot[v] = -1;
-        for (std::size_t i = 0; i < kept_vars.size(); ++i) {
-          var_slot[kept_vars[i]] = static_cast<int>(i);
-        }
-        bound_vars = std::move(kept_vars);
-        bindings = std::move(projected);
-      }
-    }
-
-    local.intermediate_sizes.push_back(bindings.size());
-  }
-
-  for (std::size_t s : local.intermediate_sizes) {
-    local.max_intermediate = std::max(local.max_intermediate, s);
-    local.total_intermediate += s;
-  }
-
-  // Project onto the head variable list (which may repeat variables).
-  Relation output(query.head_relation(),
-                  static_cast<int>(query.head_vars().size()));
-  std::vector<int> head_positions;
-  head_positions.reserve(query.head_vars().size());
-  if (!bindings.empty()) {
-    for (int var : query.head_vars()) {
-      CQB_CHECK(var_slot[var] >= 0);  // Validate() guarantees this
-      head_positions.push_back(var_slot[var]);
-    }
-  }
-  Tuple head_tuple(query.head_vars().size());
-  for (const Tuple& binding : bindings) {
-    for (std::size_t i = 0; i < head_positions.size(); ++i) {
-      head_tuple[i] = binding[head_positions[i]];
-    }
-    output.Insert(head_tuple);
-  }
-  local.output_size = output.size();
-  if (stats != nullptr) *stats = std::move(local);
-  return output;
+    return Status::InvalidArgument("unknown plan kind");
+  };
+  auto result = run();
+  if (result.ok() && stats != nullptr) *stats = std::move(local);
+  return result;
 }
 
 Result<Relation> EvaluateQuery(const Query& query, const Database& db,

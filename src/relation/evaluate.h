@@ -39,7 +39,12 @@ enum class PlanKind {
   /// tuples out of every atom before a generic-join enumeration over the
   /// reduced relations (whose intermediates are a subset of the plain
   /// generic join's, so the AGM envelope still holds). High-width queries
-  /// fall back to plain generic join. See docs/EVALUATION.md.
+  /// fall back to plain generic join. The reduction is cached in the
+  /// EvalContext plan tier and maintained by delta passes: a run on
+  /// unchanged generations reuses the cached survivor views outright
+  /// (EvalStats::semijoin_pass_skipped), a run after mutations folds just
+  /// the journal delta into the cached books (semijoin_delta_pass). See
+  /// docs/EVALUATION.md.
   kHybridYannakakis,
 };
 
@@ -64,8 +69,8 @@ inline constexpr int kHybridExactVertexLimit = 40;
 /// ChooseGenericJoinOrder (core/join_plan.cc) and the hybrid executor, so
 /// the planner's recommendation and the executor's own gate cannot drift
 /// apart. The LowWidthProbe result type lives in relation/eval_context.h,
-/// whose plan tier memoizes this probe by query shape -- prefer evaluating
-/// through an EvalContext so warm runs never re-probe.
+/// whose plan tier memoizes this probe by query shape -- evaluate through a
+/// long-lived EvalContext so warm runs never re-probe.
 LowWidthProbe ProbeLowWidthStructure(const Query& query);
 
 /// Counters reported by the evaluators, used by the E10 benchmark and the
@@ -89,17 +94,18 @@ struct EvalStats {
   /// Generic join only: trie SeekGE calls issued by the leapfrog
   /// intersection loops (the executor's unit of work).
   std::size_t intersection_seeks = 0;
-  /// Tries served from the EvalContext cache without rebuilding.
+  /// Tries served from the EvalContext cache without rebuilding. A
+  /// context-free call runs through a throwaway context, so atoms sharing
+  /// a (relation, layout) pair hit the trie the first of them built.
   std::size_t trie_cache_hits = 0;
-  /// Tries (re)built this call: cache misses when an EvalContext is
-  /// attached, and every per-call transient build when none is (the
-  /// rebuild-per-call cost the cache exists to eliminate).
+  /// Tries (re)built this call: trie-tier misses plus survivor-view builds
+  /// (the rebuild-per-call cost the cache exists to eliminate).
   std::size_t trie_cache_misses = 0;
   /// Plans served from the EvalContext plan tier without re-probing.
   std::size_t plan_cache_hits = 0;
-  /// Plans (re)derived this call: plan-tier misses when an EvalContext is
-  /// attached, and every per-call transient probe when none is (the
-  /// re-probe cost the plan tier exists to eliminate).
+  /// Plans (re)derived this call: plan-tier misses (every context-free
+  /// trie-plan call is one -- the re-probe cost the plan tier exists to
+  /// eliminate).
   std::size_t plan_cache_misses = 0;
   /// TreewidthExact invocations made by this call (0 on every warm
   /// plan-cache hit; also 0 when the variable graph failed the size or
@@ -123,23 +129,22 @@ struct EvalStats {
   /// (survivor_view_hits counts the atoms that reused a cached survivor
   /// trie).
   bool semijoin_pass_skipped = false;
-  /// Trie tier: cache misses served by *patching* a cached trie -- the
-  /// relation only appended tuples since the cached build, so the new trie
-  /// was produced by merging the sorted delta into the cached key stream
+  /// Trie tier: cache misses served by *unpatching* a cached trie over a
+  /// window with no removed rows -- the journal (Relation::DeltasSince)
+  /// named only appended rows since the cached build, so the new trie was
+  /// produced by merging their sorted keys into the cached key stream
   /// instead of sorting the whole relation. Every patch also counts in
   /// trie_cache_misses (a patched trie is still a rebuilt object).
   std::size_t trie_patches = 0;
-  /// Trie tier: cache misses served by *unpatching* a cached trie -- the
-  /// relation saw a mixed append/remove window since the cached build whose
-  /// both sides the journal can still name (Relation::DeltasSince), so the
-  /// new trie was produced by subtracting the removed keys' support while
-  /// merging the appended ones, O(base + delta), no full sort. Every
-  /// unpatch also counts in trie_cache_misses.
+  /// Trie tier: cache misses served by unpatching a cached trie over a
+  /// window with removed rows: the new trie was produced by subtracting the
+  /// removed keys' support while merging the appended ones, O(base +
+  /// delta), no full sort. Every unpatch also counts in trie_cache_misses.
   std::size_t trie_unpatches = 0;
-  /// Trie tier: cache misses (and no-context transient builds) that ran the
-  /// full from-scratch relation sort -- cold entries, or stale entries whose
-  /// relation crossed a structural break (Clear, or a Remove that triggered
-  /// tombstone compaction) since the cached build. trie_patches +
+  /// Trie tier: cache misses that ran the full from-scratch relation sort
+  /// -- cold entries (every build of a context-free call), or stale entries
+  /// whose relation crossed a structural break (Clear, or a Remove that
+  /// triggered tombstone compaction) since the cached build. trie_patches +
   /// trie_unpatches + trie_rebuilds <= trie_cache_misses: survivor-view
   /// tries built by the hybrid's reduction pass count as misses only.
   std::size_t trie_rebuilds = 0;
@@ -148,10 +153,10 @@ struct EvalStats {
   /// plan, keyed by the atom relations' generation vector -- no re-filter,
   /// no survivor-trie rebuild.
   std::size_t survivor_view_hits = 0;
-  /// Appended tuples routed through a delta path this call: tuples merged
-  /// into patched tries plus delta candidates filtered by the incremental
-  /// semi-join pass (the "k" in the O(k . index work) cost of a small
-  /// insert).
+  /// Journal rows routed through a delta path this call: appended and
+  /// removed rows merged into unpatched tries plus delta candidates
+  /// filtered by the incremental semi-join pass (the "k" in the O(k . index
+  /// work) cost of a small insert).
   std::size_t delta_tuples_processed = 0;
   /// Hybrid plan only: true iff the semi-join reduction ran as a counting
   /// *delta pass* -- the cached SemijoinState's per-step key support counts
@@ -177,7 +182,7 @@ struct EvalStats {
   /// soon as one completion is found instead of enumerating (and deduping
   /// away) every other witness.
   std::size_t projection_subtrees_skipped = 0;
-  /// Generic join: number of threads (pool workers plus the calling
+  /// Trie plans: number of threads (pool workers plus the calling
   /// thread) that executed the partitioned depth-0 search, or 0 when the
   /// evaluation ran single-threaded (no pool, no workers, too few depth-0
   /// bindings to split, or a plan that never reaches the trie executor).
@@ -186,10 +191,9 @@ struct EvalStats {
 
 /// Evaluates `query` over `db`, producing the head relation Q(D) with set
 /// semantics: all tuples theta(u0) for substitutions theta satisfying every
-/// body atom (Section 2 of the paper). PlanKind::kGenericJoin runs
-/// EvaluateGenericJoin over DefaultGenericJoinOrder (use
-/// ChooseGenericJoinOrder in core/join_plan.h for the LP/treewidth-derived
-/// order).
+/// body atom (Section 2 of the paper). PlanKind::kGenericJoin runs the
+/// generic join over DefaultGenericJoinOrder (use ChooseGenericJoinOrder in
+/// core/join_plan.h for the LP/treewidth-derived order).
 ///
 /// Errors: kNotFound if a body relation is missing from `db`;
 /// kInvalidArgument if an atom's arity disagrees with the stored relation.
@@ -199,18 +203,34 @@ struct EvalStats {
 Result<Relation> EvaluateQuery(const Query& query, const Database& db,
                                PlanKind kind, EvalStats* stats = nullptr);
 
-/// As above, evaluating through `ctx` (may be null): the trie-based plans
-/// (kGenericJoin, kHybridYannakakis) reuse cached per-atom tries instead of
-/// rebuilding them per call. `ctx` must be attached to `db`
-/// (kInvalidArgument otherwise); the binary-join plans accept but ignore
-/// it (their transient hash indexes are not cached).
+/// As above, evaluating through `ctx`: the trie-based plans (kGenericJoin,
+/// kHybridYannakakis) reuse cached per-atom tries, plans and semi-join
+/// state instead of rebuilding them per call. `ctx` must be attached to
+/// `db` (kInvalidArgument otherwise); the binary-join plans accept but
+/// ignore it (their transient hash indexes are not cached). A null `ctx`
+/// evaluates through a throwaway context that dies with the call -- the
+/// same code path, counted exactly as a fresh context would count it.
 Result<Relation> EvaluateQuery(const Query& query, const Database& db,
                                PlanKind kind, EvalContext* ctx,
                                EvalStats* stats);
 
 /// As above, additionally fanning the trie-based plans' enumeration out
-/// over `pool` (may be null for serial execution; see EvaluateGenericJoin's
-/// pool overload for the partitioning scheme and its limits). The
+/// over `pool` (util/thread_pool.h; may be null for serial execution) by
+/// partitioning the depth-0 leapfrog intersection: the matches of the first
+/// variable in the binding order are enumerated once (cheap -- one trie
+/// level), then claimed dynamically by the pool's workers plus the calling
+/// thread, each descending its claimed subtrees with private scratch and a
+/// private output relation; outputs and stats are merged (set semantics
+/// dedups overlapping head tuples) when every subtree finishes. Every
+/// worker's per-depth binding counts still sum to the serial run's, so the
+/// AGM envelope guarantee is unchanged -- as are results, exactly. The
+/// hybrid's semi-join pass itself stays serial.
+///
+/// Falls back to the serial search when `pool` is null or has no workers,
+/// when there are fewer than two depth-0 matches to split, or when the head
+/// is variable-free (a pure existence check, where the serial early exit
+/// stops at the first witness and parallel fan-out would only waste work).
+/// EvalStats::parallel_workers reports the fan-out actually used. The
 /// binary-join plans ignore the pool.
 Result<Relation> EvaluateQuery(const Query& query, const Database& db,
                                PlanKind kind, EvalContext* ctx,
@@ -220,7 +240,8 @@ Result<Relation> EvaluateQuery(const Query& query, const Database& db,
 /// `variable_order` (which must enumerate every body variable exactly once)
 /// and binds variables in that order with leapfrog intersections. Any order
 /// preserves the AGM envelope on intermediates; the order affects constants
-/// (seek counts), not the worst-case guarantee.
+/// (seek counts), not the worst-case guarantee. Runs through a throwaway
+/// EvalContext, like a context-free EvaluateQuery.
 ///
 /// Errors: as EvaluateQuery, plus kInvalidArgument if `variable_order` is
 /// not a permutation of the body variables.
@@ -228,69 +249,30 @@ Result<Relation> EvaluateGenericJoin(const Query& query, const Database& db,
                                      const std::vector<int>& variable_order,
                                      EvalStats* stats = nullptr);
 
-/// As above through `ctx` (may be null; must be attached to `db`).
-Result<Relation> EvaluateGenericJoin(const Query& query, const Database& db,
-                                     const std::vector<int>& variable_order,
-                                     EvalContext* ctx, EvalStats* stats);
+/// One step of a binary-join plan: join the given body atom into the
+/// current bindings, then project the bindings onto `keep_vars`.
+struct JoinPlanStep {
+  int atom_index = 0;
+  /// Variable ids kept after the join, in binding layout order.
+  std::vector<int> keep_vars;
+};
 
-/// As above, parallelized over `pool` (util/thread_pool.h) by partitioning
-/// the depth-0 leapfrog intersection: the matches of the first variable in
-/// `variable_order` are enumerated once (cheap -- one trie level), then
-/// claimed dynamically by the pool's workers plus the calling thread, each
-/// descending its claimed subtrees with private scratch and a private
-/// output relation; outputs and stats are merged (set semantics dedups
-/// overlapping head tuples) when every subtree finishes. Every worker's
-/// per-depth binding counts still sum to the serial run's, so the AGM
-/// envelope guarantee is unchanged -- as are results, exactly.
+/// The binary-join executor behind kNaive, kJoinProject and
+/// ExecuteJoinPlan (core/join_plan.h): left-deep hash joins in step order,
+/// each followed by a projection onto the step's keep set (deduplicated
+/// only when the step drops a variable). kNaive is the body-order step list
+/// keeping every bound variable; kJoinProject keeps only the variables the
+/// head or a later atom still needs. An empty binding set short-circuits
+/// the remaining steps (their relations are still resolved).
 ///
-/// Falls back to the serial search when `pool` is null or has no workers,
-/// when there are fewer than two depth-0 matches to split, or when the head
-/// is variable-free (a pure existence check, where the serial early exit
-/// stops at the first witness and parallel fan-out would only waste work).
-/// EvalStats::parallel_workers reports the fan-out actually used.
-Result<Relation> EvaluateGenericJoin(const Query& query, const Database& db,
-                                     const std::vector<int>& variable_order,
-                                     EvalContext* ctx, ThreadPool* pool,
-                                     EvalStats* stats);
-
-/// The kHybridYannakakis executor. Probes the query's
-/// variable-intersection graph with the certified exact treewidth engine
-/// (graph/treewidth_bb.h) -- through `ctx`'s plan tier when attached, so
-/// only the first evaluation of a query shape pays for TreewidthExact; on
-/// width <= kHybridWidthThreshold it runs a semi-join reduction pass up
-/// and down the certified TreeDecomposition (dropping tuples that cannot
-/// contribute to any answer -- counted in
-/// EvalStats::semijoin_dropped_tuples) and then enumerates with the
-/// generic join over the reduced relations, binding along the reverse
-/// elimination order. Otherwise it is exactly EvaluateGenericJoin over
-/// DefaultGenericJoinOrder. The reduction is zero-copy: atoms that lost
-/// tuples hand a borrowed filtered view of their survivors straight to
-/// trie construction (no reduced Relation is ever materialized). With
-/// `ctx` attached the pass is delta-maintained (docs/EVALUATION.md "Delta
-/// maintenance"): the plan caches the last pass's outcome keyed by the
-/// atom relations' generation vector, so a run on matching generations
-/// skips the pass and reuses the cached survivor views outright
-/// (EvalStats::semijoin_pass_skipped / survivor_view_hits), and a run
-/// after appends-only mutations of a clean state filters just the
-/// appended tuples against cached per-step key sets
-/// (EvalStats::delta_tuples_processed) instead of re-scanning the
-/// database. Atoms untouched by the reduction still use `ctx`-cached
-/// tries; freshly built survivor tries are counted as misses. A fully
-/// warm run on unchanged generations therefore performs zero
-/// TreewidthExact calls, zero semi-joins, zero trie builds, and zero
-/// tuple copies.
-Result<Relation> EvaluateHybridYannakakis(const Query& query,
-                                          const Database& db,
-                                          EvalContext* ctx = nullptr,
-                                          EvalStats* stats = nullptr);
-
-/// As above with the enumeration phase fanned out over `pool` (the
-/// semi-join reduction pass itself stays serial -- it is a linear scan the
-/// skip state usually elides anyway). Safe for concurrent callers sharing
-/// one `ctx`: the plan entry's skip state is mutex-guarded.
-Result<Relation> EvaluateHybridYannakakis(const Query& query,
-                                          const Database& db, EvalContext* ctx,
-                                          ThreadPool* pool, EvalStats* stats);
+/// Errors: kInvalidArgument, before any data is read, unless every atom
+/// occurs exactly once, every kept variable is bound by the prefix, no step
+/// drops a variable a later atom uses, and every head variable survives the
+/// last step; then as EvaluateQuery. `stats` follows EvaluateQuery's
+/// contract.
+Result<Relation> ExecuteJoinSteps(const Query& query,
+                                  const std::vector<JoinPlanStep>& steps,
+                                  const Database& db, EvalStats* stats);
 
 /// A dependency-light default variable order: greedy by atom-degree
 /// (variables constrained by more atoms first), extending connected-first so

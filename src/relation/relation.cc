@@ -40,14 +40,12 @@ bool Relation::Remove(const Tuple& t) {
       return false;
     case ColumnStore::EraseResult::kTombstoned:
       ++generation_;
-      append_floor_ = generation_;
       removed_log_.push_back(RemovalEvent{generation_, row});
       return true;
     case ColumnStore::EraseResult::kCompacted:
       // The deferred compaction ran: row ids shifted, so every journaled
       // row id (including this removal's) is void. Hard break.
       ++generation_;
-      append_floor_ = generation_;
       structural_floor_ = generation_;
       removed_log_.clear();
       ++compactions_;
@@ -62,7 +60,6 @@ void Relation::Clear() {
   if (store_.size() == 0) return;
   store_.Clear();
   ++generation_;
-  append_floor_ = generation_;
   structural_floor_ = generation_;
   removed_log_.clear();
 }

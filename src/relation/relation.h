@@ -23,14 +23,15 @@ namespace cqbounds {
 /// readers-xor-writer discipline is owned by the caller (EvalContext's
 /// documented contract -- mutations never overlap evaluations; any number
 /// of concurrent readers between mutations). The delta journal below
-/// (generation_ / append_floor_) is what makes that contract auditable by
-/// its consumers: every cached artifact snapshots generation() at build
-/// time and revalidates against it, so a violated contract surfaces as a
-/// TSan race in CI, never as silently stale data. The machine-checked
-/// (Clang -Wthread-safety, docs/STATIC_ANALYSIS.md) annotations live at
-/// the synchronization boundary -- relation/eval_context.h and
-/// util/thread_pool.h -- because a guard annotation here would claim a
-/// lock this class intentionally does not have.
+/// (generation_ and the removed-row log) is what makes that contract
+/// auditable by its consumers: every cached artifact snapshots
+/// generation() at build time and revalidates against it, so a violated
+/// contract surfaces as a TSan race in CI, never as silently stale data.
+/// The machine-checked (Clang -Wthread-safety, docs/STATIC_ANALYSIS.md)
+/// annotations live at the synchronization boundary --
+/// relation/eval_context.h and util/thread_pool.h -- because a guard
+/// annotation here would claim a lock this class intentionally does not
+/// have.
 class Relation {
  public:
   Relation() : name_("R"), store_(0) {}
@@ -54,35 +55,8 @@ class Relation {
   /// invalidation instead of content hashing.
   std::uint64_t generation() const { return generation_; }
 
-  /// Delta journal: true iff every change between generation `gen` and now
-  /// was an append. Appends never reorder the stable row prefix, so a
-  /// reader holding a snapshot taken at `gen` can patch its index from the
-  /// appended row window (AppendedRowsSince) instead of rebuilding.
-  /// Remove/Clear advance the append floor, so any structural mutation since
-  /// `gen` makes this false and forces the full-rebuild path.
-  bool AppendsOnlySince(std::uint64_t gen) const {
-    return gen >= append_floor_ && gen <= generation_;
-  }
-
-  /// The column-segment watermark for a snapshot taken at `gen`: rows
-  /// [first_row, first_row + count) are exactly the rows appended since.
-  /// Within an append-only window the generation advances one per appended
-  /// row, so the watermark row is size() - (generation() - gen); the rows
-  /// behind it are the snapshot's stable segment, untouched since `gen`.
-  /// Requires AppendsOnlySince(gen) (checked).
-  struct AppendWindow {
-    std::size_t first_row = 0;
-    std::size_t count = 0;
-  };
-  AppendWindow AppendedRowsSince(std::uint64_t gen) const {
-    CQB_CHECK(AppendsOnlySince(gen));
-    const std::size_t appended = static_cast<std::size_t>(generation_ - gen);
-    CQB_CHECK(appended <= store_.size());
-    return AppendWindow{store_.size() - appended, appended};
-  }
-
-  /// The generalized delta journal: everything that changed since `gen`,
-  /// named by row id. `appended_rows` are the still-live rows appended
+  /// The delta journal: everything that changed since `gen`, named by row
+  /// id. `appended_rows` are the still-live rows appended
   /// since `gen` (a subsequence of the physical row suffix, ascending);
   /// `removed_rows` are the row ids tombstoned since `gen` that existed at
   /// `gen` (ascending; their codes are still readable -- tombstones keep
@@ -90,8 +64,8 @@ class Relation {
   /// appears in neither list. Valid for any `gen` at or after the last
   /// *hard* structural break (Clear or a deferred compaction, which shift
   /// or drop row ids); returns false and leaves `*out` empty otherwise --
-  /// the caller falls back to a full rebuild. AppendsOnlySince(gen)
-  /// implies validity with empty `removed_rows`.
+  /// the caller falls back to a full rebuild. An append-only window
+  /// yields an empty `removed_rows`.
   struct DeltaSet {
     std::vector<std::uint32_t> appended_rows;
     std::vector<std::uint32_t> removed_rows;
@@ -122,8 +96,7 @@ class Relation {
   std::size_t InsertFrom(const Relation& other);
 
   /// Removes `t` if present; returns true if removed. Preserves the order
-  /// of the remaining tuples. A removal bumps the generation AND the
-  /// append floor (AppendsOnlySince() goes false for older snapshots), but
+  /// of the remaining tuples. A removal bumps the generation, but
   /// it is usually a *tombstone*: row ids stay stable, the removal is
   /// journaled in the removed-row log, and DeltasSince() names it -- delta
   /// consumers patch in O(δ) instead of rebuilding. Only when the store's
@@ -132,7 +105,7 @@ class Relation {
   bool Remove(const Tuple& t);
 
   /// Drops every tuple. A hard structural break: bumps the generation and
-  /// both floors unless the store held no physical rows at all.
+  /// the structural floor unless the store held no physical rows at all.
   void Clear();
 
   bool Contains(const Tuple& t) const { return store_.Contains(t); }
@@ -167,17 +140,13 @@ class Relation {
   std::string name_;
   ColumnStore store_;
   std::uint64_t generation_ = 0;
-  // Generation value as of the last non-append mutation (removal, clear,
-  // compaction); a snapshot generation >= this floor saw the current rows
-  // as a pure append suffix. All journal state is written only under the
-  // caller-owned writer phase (see the class comment) -- it is read
-  // concurrently by cached readers, which is safe precisely because writes
-  // never overlap reads.
-  std::uint64_t append_floor_ = 0;
   // Generation value as of the last HARD structural break (Clear or a
   // deferred compaction): snapshots at or after it can still be served a
   // row-id delta (DeltasSince), older ones cannot. Invariant:
-  // structural_floor_ <= append_floor_ <= generation_.
+  // structural_floor_ <= generation_. All journal state is written only
+  // under the caller-owned writer phase (see the class comment) -- it is
+  // read concurrently by cached readers, which is safe precisely because
+  // writes never overlap reads.
   std::uint64_t structural_floor_ = 0;
   // One entry per tombstoned row since the last hard break, generation-
   // ascending; a row id appears at most once (ids never resurrect).

@@ -79,7 +79,7 @@ void RadixSortIndices(const std::vector<std::uint64_t>& keys, std::size_t m,
 /// Radix-sorts the packed `keys` (m rows of `depth` words) and collapses
 /// duplicates: `*sorted` receives the distinct sorted key stream and
 /// `*counts` one multiplicity per distinct key. Returns the distinct
-/// count. Shared by the build and both delta constructors.
+/// count. Shared by the build and the delta constructor.
 std::size_t SortCountKeys(const std::vector<std::uint64_t>& keys,
                           std::size_t m, int depth,
                           const std::vector<std::uint64_t>& key_min,
@@ -290,83 +290,6 @@ TrieIndex::TrieIndex(const RowView& view,
 }
 
 TrieIndex::TrieIndex(const TrieIndex& base, const RowView& appended,
-                     const std::vector<std::vector<int>>& level_positions) {
-  g_merge_builds.fetch_add(1, std::memory_order_relaxed);
-  const int depth = static_cast<int>(level_positions.size());
-  CQB_CHECK(base.num_levels() == depth);
-  if (depth == 0) {
-    root_support_ = base.root_support_ + appended.size();
-    num_tuples_ = root_support_ != 0 ? 1 : 0;
-    return;
-  }
-  CQB_CHECK(appended.store != nullptr);
-
-  // Delta keys: extract, radix-sort, collapse duplicates into supports --
-  // O(k log k) worst case for k appended rows, all on packed words.
-  std::vector<std::uint64_t> keys;
-  std::vector<std::uint64_t> key_min(static_cast<std::size_t>(depth));
-  std::vector<std::uint64_t> key_max(static_cast<std::size_t>(depth));
-  const std::size_t m = ExtractKeys(*appended.store, &appended.rows,
-                                    level_positions, &keys, &key_min,
-                                    &key_max);
-  std::vector<std::uint64_t> delta;
-  std::vector<std::uint32_t> dcounts;
-  const std::size_t dk =
-      SortCountKeys(keys, m, depth, key_min, key_max, &delta, &dcounts);
-
-  // Base keys come out of the DFS already sorted and deduplicated; a single
-  // merge (set semantics on equal keys, summed support) yields the combined
-  // sorted key stream without ever re-sorting the base.
-  std::vector<std::uint64_t> base_keys;
-  base_keys.reserve(base.num_tuples_ * static_cast<std::size_t>(depth));
-  base.EnumerateFlatKeys(&base_keys);
-  const std::size_t bk = base_keys.size() / static_cast<std::size_t>(depth);
-
-  std::vector<std::uint64_t> merged;
-  merged.reserve(base_keys.size() + delta.size());
-  std::vector<std::uint32_t> counts;
-  counts.reserve(bk + dk);
-  std::size_t bi = 0;
-  std::size_t di = 0;
-  std::size_t mk = 0;
-  while (bi < bk && di < dk) {
-    const std::uint64_t* b = base_keys.data() + bi * depth;
-    const std::uint64_t* d = delta.data() + di * depth;
-    const int cmp = CompareKeys(b, d, depth);
-    if (cmp < 0) {
-      merged.insert(merged.end(), b, b + depth);
-      counts.push_back(base.CountOf(bi));
-      ++bi;
-    } else if (cmp > 0) {
-      merged.insert(merged.end(), d, d + depth);
-      counts.push_back(dcounts[di]);
-      ++di;
-    } else {
-      // Duplicate of an existing key: set semantics (no growth), but the
-      // supports add so a later removal of either row subtracts exactly.
-      merged.insert(merged.end(), b, b + depth);
-      counts.push_back(base.CountOf(bi) + dcounts[di]);
-      ++bi;
-      ++di;
-    }
-    ++mk;
-  }
-  for (; bi < bk; ++bi, ++mk) {
-    const std::uint64_t* b = base_keys.data() + bi * depth;
-    merged.insert(merged.end(), b, b + depth);
-    counts.push_back(base.CountOf(bi));
-  }
-  for (; di < dk; ++di, ++mk) {
-    const std::uint64_t* d = delta.data() + di * depth;
-    merged.insert(merged.end(), d, d + depth);
-    counts.push_back(dcounts[di]);
-  }
-
-  BuildFromSortedFlat(merged, mk, depth);
-  SetCounts(std::move(counts));
-}
-
-TrieIndex::TrieIndex(const TrieIndex& base, const RowView& appended,
                      const RowView& removed,
                      const std::vector<std::vector<int>>& level_positions) {
   g_merge_builds.fetch_add(1, std::memory_order_relaxed);
@@ -384,40 +307,35 @@ TrieIndex::TrieIndex(const TrieIndex& base, const RowView& appended,
   // Both delta sides go through the same extract/sort/count path as the
   // base build, so self-inconsistent rows are filtered symmetrically and
   // the multiset arithmetic below is exact.
+  auto sorted_delta = [&level_positions, depth](
+                          const RowView& view, std::vector<std::uint64_t>* out,
+                          std::vector<std::uint32_t>* out_counts) {
+    if (view.empty()) return std::size_t{0};
+    CQB_CHECK(view.store != nullptr);
+    std::vector<std::uint64_t> keys;
+    std::vector<std::uint64_t> key_min(static_cast<std::size_t>(depth));
+    std::vector<std::uint64_t> key_max(static_cast<std::size_t>(depth));
+    const std::size_t m = ExtractKeys(*view.store, &view.rows,
+                                      level_positions, &keys, &key_min,
+                                      &key_max);
+    return SortCountKeys(keys, m, depth, key_min, key_max, out, out_counts);
+  };
   std::vector<std::uint64_t> add;
   std::vector<std::uint32_t> addc;
-  std::size_t ak = 0;
-  if (!appended.empty()) {
-    CQB_CHECK(appended.store != nullptr);
-    std::vector<std::uint64_t> keys;
-    std::vector<std::uint64_t> key_min(static_cast<std::size_t>(depth));
-    std::vector<std::uint64_t> key_max(static_cast<std::size_t>(depth));
-    const std::size_t m = ExtractKeys(*appended.store, &appended.rows,
-                                      level_positions, &keys, &key_min,
-                                      &key_max);
-    ak = SortCountKeys(keys, m, depth, key_min, key_max, &add, &addc);
-  }
+  const std::size_t ak = sorted_delta(appended, &add, &addc);
   std::vector<std::uint64_t> sub;
   std::vector<std::uint32_t> subc;
-  std::size_t sk = 0;
-  if (!removed.empty()) {
-    CQB_CHECK(removed.store != nullptr);
-    std::vector<std::uint64_t> keys;
-    std::vector<std::uint64_t> key_min(static_cast<std::size_t>(depth));
-    std::vector<std::uint64_t> key_max(static_cast<std::size_t>(depth));
-    const std::size_t m = ExtractKeys(*removed.store, &removed.rows,
-                                      level_positions, &keys, &key_min,
-                                      &key_max);
-    sk = SortCountKeys(keys, m, depth, key_min, key_max, &sub, &subc);
-  }
+  const std::size_t sk = sorted_delta(removed, &sub, &subc);
 
   std::vector<std::uint64_t> base_keys;
   base_keys.reserve(base.num_tuples_ * static_cast<std::size_t>(depth));
   base.EnumerateFlatKeys(&base_keys);
   const std::size_t bk = base_keys.size() / static_cast<std::size_t>(depth);
 
-  // Three-way sorted merge: per distinct key the net support is
-  // base + appended - removed; the key survives iff that stays positive.
+  // One sorted merge. The base and appended streams pick the current key
+  // with a single comparison; the (usually short) removed stream is only
+  // tested against that chosen key. Per distinct key the net support is
+  // base + appended - removed, and the key survives iff it stays positive.
   std::vector<std::uint64_t> merged;
   merged.reserve(base_keys.size() + add.size());
   std::vector<std::uint32_t> counts;
@@ -425,42 +343,48 @@ TrieIndex::TrieIndex(const TrieIndex& base, const RowView& appended,
   std::size_t bi = 0;
   std::size_t ai = 0;
   std::size_t si = 0;
-  std::size_t mk = 0;
-  while (bi < bk || ai < ak || si < sk) {
-    const std::uint64_t* key = nullptr;
-    if (bi < bk) key = base_keys.data() + bi * depth;
-    if (ai < ak) {
-      const std::uint64_t* a = add.data() + ai * depth;
-      if (key == nullptr || CompareKeys(a, key, depth) < 0) key = a;
-    }
-    if (si < sk) {
-      const std::uint64_t* s = sub.data() + si * depth;
-      if (key == nullptr || CompareKeys(s, key, depth) < 0) key = s;
-    }
+  while (ai < ak || si < sk) {
+    // A removed key past both the base and the appended streams was never
+    // supported: the removed stream must be fully consumed by the merge.
+    CQB_CHECK(bi < bk || ai < ak);
+    // < 0: base key first; > 0: appended key first; 0: equal keys.
+    const int cmp = bi == bk   ? 1
+                    : ai == ak ? -1
+                               : CompareKeys(base_keys.data() + bi * depth,
+                                             add.data() + ai * depth, depth);
+    const std::uint64_t* key =
+        cmp <= 0 ? base_keys.data() + bi * depth : add.data() + ai * depth;
     std::int64_t net = 0;
-    if (bi < bk && CompareKeys(base_keys.data() + bi * depth, key, depth) == 0) {
-      net += base.CountOf(bi);
-      ++bi;
+    if (cmp <= 0) net += base.CountOf(bi++);
+    if (cmp >= 0) net += addc[ai++];
+    if (si < sk) {
+      const int rcmp = CompareKeys(sub.data() + si * depth, key, depth);
+      // A removed key below the current one was skipped by both streams:
+      // a removal named a row whose key nothing supported.
+      CQB_CHECK(rcmp >= 0);
+      if (rcmp == 0) net -= subc[si++];
     }
-    if (ai < ak && CompareKeys(add.data() + ai * depth, key, depth) == 0) {
-      net += addc[ai];
-      ++ai;
-    }
-    if (si < sk && CompareKeys(sub.data() + si * depth, key, depth) == 0) {
-      net -= subc[si];
-      ++si;
-    }
-    // A negative net means a removal named a row whose key the base (plus
-    // this window's appends) never supported -- a journal bug upstream.
+    // A negative net means a removal outnumbered the key's support -- a
+    // journal bug upstream.
     CQB_CHECK(net >= 0);
     if (net > 0) {
       merged.insert(merged.end(), key, key + depth);
       counts.push_back(static_cast<std::uint32_t>(net));
-      ++mk;
     }
   }
+  // Past the last delta key the base's remaining keys carry over verbatim.
+  merged.insert(merged.end(),
+                base_keys.begin() + static_cast<std::ptrdiff_t>(bi * depth),
+                base_keys.end());
+  if (base.counts_.empty()) {
+    counts.resize(counts.size() + (bk - bi), 1u);
+  } else {
+    counts.insert(counts.end(),
+                  base.counts_.begin() + static_cast<std::ptrdiff_t>(bi),
+                  base.counts_.end());
+  }
 
-  BuildFromSortedFlat(merged, mk, depth);
+  BuildFromSortedFlat(merged, counts.size(), depth);
   SetCounts(std::move(counts));
 }
 

@@ -13,7 +13,7 @@ namespace cqbounds {
 
 /// Monotonic process-wide counters over TrieIndex construction, readable by
 /// benches and tests. `radix_builds` counts from-scratch builds (Relation and
-/// RowView constructors), `merge_builds` counts patch-constructor merges.
+/// RowView constructors), `merge_builds` counts delta-constructor merges.
 /// `tuple_materializations` is a tripwire: it counts per-tuple heap `Tuple`
 /// objects created during trie construction, which is zero by design on the
 /// columnar radix and merge paths -- bench_e15_columnar_scale asserts it
@@ -73,34 +73,27 @@ class TrieIndex {
   TrieIndex(const RowView& view,
             const std::vector<std::vector<int>>& level_positions);
 
-  /// Patch constructor: builds the trie for `base`'s key set plus the keys of
-  /// the rows in `appended` (extracted with the same `level_positions` layout
-  /// `base` was built with -- typically the append window of the base's
-  /// relation, but any store-backed view works). `base` is never modified --
-  /// the patched trie is a fresh object, so readers holding shared_ptrs to
-  /// `base` are unaffected (the EvalContext concurrency contract). Cost is
-  /// O(base + k log k) for k appended rows: the base's keys are enumerated
-  /// already sorted (a DFS over its flat levels) and merged with the sorted
-  /// delta in one pass, skipping the full sort a from-scratch build pays.
-  /// Set semantics hold across the merge: a delta key already present in
-  /// `base` does not grow the trie.
-  TrieIndex(const TrieIndex& base, const RowView& appended,
-            const std::vector<std::vector<int>>& level_positions);
-
-  /// Unpatch constructor: `base`'s key multiset plus `appended` minus
-  /// `removed` -- the mixed append/remove delta path. Every trie carries a
-  /// per-key *support count* (how many self-consistent rows project onto
-  /// the key; stored sparsely, since counts exceed one only under
-  /// projection or repeated-variable layouts), so subtracting a removed row
+  /// Delta (unpatch) constructor: `base`'s key multiset plus `appended`
+  /// minus `removed`, extracted with the same `level_positions` layout
+  /// `base` was built with -- the one refresh path for every journal
+  /// window (an append-only window passes an empty `removed`). Every trie
+  /// carries a per-key *support count* (how many self-consistent rows
+  /// project onto the key; stored sparsely, since counts exceed one only
+  /// under projection or repeated-variable layouts), so subtracting a
+  /// removed row
   /// deletes its key exactly when the last supporting row goes: a key is
   /// emitted iff base_count + appended_count - removed_count > 0. Removed
   /// rows are named by id into a store whose tombstoned columns are still
   /// readable (Relation::DeltasSince guarantees this until compaction);
   /// rows failing the repeated-variable filter are skipped symmetrically on
   /// both delta sides, mirroring what the base build did. Cost is
-  /// O(base + k log k) for k = |appended| + |removed|; `base` is never
-  /// modified (fresh object, same concurrency contract as the patch
-  /// constructor). Checks that no key's support goes negative.
+  /// O(base + k log k) for k = |appended| + |removed|: the base's keys are
+  /// enumerated already sorted (a DFS over its flat levels) and merged with
+  /// the sorted delta streams in one pass, skipping the full sort a
+  /// from-scratch build pays. `base` is never modified -- the result is a
+  /// fresh object, so readers holding shared_ptrs to `base` are unaffected
+  /// (the EvalContext concurrency contract). Checks that no key's support
+  /// goes negative and that every removed key was supported.
   TrieIndex(const TrieIndex& base, const RowView& appended,
             const RowView& removed,
             const std::vector<std::vector<int>>& level_positions);
@@ -173,7 +166,7 @@ class TrieIndex {
   void SetCounts(std::vector<std::uint32_t>&& counts);
 
   /// Builds the per-level arrays from an already sorted, deduplicated packed
-  /// key stream of m rows (the single-scan core, exposed so the patch
+  /// key stream of m rows (the single-scan core, exposed so the delta
   /// constructor's merge can feed it directly).
   void BuildFromSortedFlat(const std::vector<std::uint64_t>& keys,
                            std::size_t m, int depth);

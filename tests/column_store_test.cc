@@ -261,17 +261,6 @@ TEST(ColumnStoreTest, StatsComputeMinMaxDistinctPerColumn) {
   EXPECT_EQ(none.distinct, 0u);
 }
 
-TEST(RowViewTest, TailNamesTheAppendSuffix) {
-  ColumnStore store(1);
-  for (Value v : {10, 11, 12, 13}) store.Append({v});
-  RowView tail = RowView::Tail(store, 2, 2);
-  EXPECT_EQ(tail.store, &store);
-  ASSERT_EQ(tail.size(), 2u);
-  EXPECT_EQ(tail.rows[0], 2u);
-  EXPECT_EQ(tail.rows[1], 3u);
-  EXPECT_TRUE(RowView::Tail(store, 4, 0).empty());
-}
-
 // --- Relation journal over the columnar store ------------------------------
 
 TEST(RelationJournalTest, BatchInsertAdvancesGenerationByRowsAdded) {
@@ -286,18 +275,22 @@ TEST(RelationJournalTest, BatchInsertAdvancesGenerationByRowsAdded) {
   EXPECT_EQ(r.InsertBatch({{1, 2}, {3, 4}, {5, 6}, {3, 4}}), 2u);
   EXPECT_EQ(r.generation(), snapshot + 2);
 
-  // The append window is exactly the batch's fresh rows.
-  ASSERT_TRUE(r.AppendsOnlySince(snapshot));
-  Relation::AppendWindow window = r.AppendedRowsSince(snapshot);
-  EXPECT_EQ(window.first_row, 1u);
-  EXPECT_EQ(window.count, 2u);
-  EXPECT_EQ(r.store().Row(window.first_row), (Tuple{3, 4}));
+  // The journal names exactly the batch's fresh rows, and no removal.
+  Relation::DeltaSet ds;
+  ASSERT_TRUE(r.DeltasSince(snapshot, &ds));
+  EXPECT_EQ(ds.appended_rows, (std::vector<std::uint32_t>{1, 2}));
+  EXPECT_TRUE(ds.removed_rows.empty());
+  EXPECT_EQ(r.store().Row(ds.appended_rows.front()), (Tuple{3, 4}));
 
-  // A structural mutation closes the append-only window.
+  // Removing one of three rows crosses the quarter-dead threshold: the
+  // compaction is a structural break that closes the old window, while a
+  // snapshot taken after it sees an empty one.
   r.Remove({1, 2});
-  EXPECT_FALSE(r.AppendsOnlySince(snapshot));
-  EXPECT_TRUE(r.AppendsOnlySince(r.generation()));
-  EXPECT_EQ(r.AppendedRowsSince(r.generation()).count, 0u);
+  ASSERT_EQ(r.compactions(), 1u);
+  EXPECT_FALSE(r.DeltasSince(snapshot, &ds));
+  ASSERT_TRUE(r.DeltasSince(r.generation(), &ds));
+  EXPECT_TRUE(ds.appended_rows.empty());
+  EXPECT_TRUE(ds.removed_rows.empty());
 }
 
 TEST(RelationJournalTest, DeltasSinceNamesBothSidesOfAMixedWindow) {
@@ -310,7 +303,6 @@ TEST(RelationJournalTest, DeltasSinceNamesBothSidesOfAMixedWindow) {
   r.Insert({101});               // physical row 9
   EXPECT_TRUE(r.Remove({101}));  // appended then removed in one window
 
-  EXPECT_FALSE(r.AppendsOnlySince(snapshot));
   Relation::DeltaSet ds;
   ASSERT_TRUE(r.DeltasSince(snapshot, &ds));
   // The append-then-remove of {101} nets out of BOTH sides: row 9 is dead
@@ -432,7 +424,9 @@ TEST(RadixTrieBuildTest, CountsBuildsAndNeverMaterializesTuples) {
   r.InsertBatch({{1, 2}, {3, 4}, {5, 6}});
   TrieIndex scratch(r, {{0}, {1}});
   r.Insert({7, 8});
-  TrieIndex patched(scratch, RowView::Tail(r.store(), 3, 1), {{0}, {1}});
+  RowView appended(&r.store());
+  appended.rows = {3};
+  TrieIndex patched(scratch, appended, RowView(&r.store()), {{0}, {1}});
   const TrieBuildStats after = GetTrieBuildStats();
   EXPECT_EQ(after.radix_builds, before.radix_builds + 1);
   EXPECT_EQ(after.merge_builds, before.merge_builds + 1);

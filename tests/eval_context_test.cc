@@ -545,8 +545,8 @@ TEST(EvalStatsResetTest, ErrorPathsClearReusedStats) {
 
     // Second call errors (missing relation): the reused stats must not
     // leak the previous run's counters. The delta counters are seeded with
-    // garbage first -- a successful context-free run leaves them zero, so
-    // without the seeding a missing reset would be invisible.
+    // garbage first -- a successful context-free run leaves most of them
+    // zero, so without the seeding a missing reset would be invisible.
     stats.trie_patches = 99;
     stats.trie_rebuilds = 99;
     stats.survivor_view_hits = 99;

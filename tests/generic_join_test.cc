@@ -12,6 +12,7 @@
 #include "relation/evaluate.h"
 #include "relation/generator.h"
 #include "relation/trie_index.h"
+#include "util/rng.h"
 
 namespace cqbounds {
 namespace {
@@ -93,14 +94,20 @@ TEST(TrieIndexTest, PatchMatchesFromScratchRebuild) {
   for (Value v : {5, 1, 9, 3}) r.Insert({v, v * 10});
   TrieIndex base(r, {{0}, {1}});
 
-  // Appends interleave with existing keys on both levels. The delta is the
-  // column segment past the snapshot's watermark: rows [4, 7).
+  // Appends interleave with existing keys on both levels. The journal names
+  // the rows past the snapshot -- [4, 7) -- and no removed row.
+  const std::uint64_t snapshot = r.generation();
   r.Insert({2, 20});
   r.Insert({9, 5});   // new child under an existing level-0 value
   r.Insert({11, 1});  // past the old maximum
-  const RowView appended = RowView::Tail(r.store(), 4, 3);
+  Relation::DeltaSet ds;
+  ASSERT_TRUE(r.DeltasSince(snapshot, &ds));
+  EXPECT_EQ(ds.appended_rows, (std::vector<std::uint32_t>{4, 5, 6}));
+  EXPECT_TRUE(ds.removed_rows.empty());
+  RowView appended(&r.store());
+  appended.rows = ds.appended_rows;
 
-  TrieIndex patched(base, appended, {{0}, {1}});
+  TrieIndex patched(base, appended, RowView(&r.store()), {{0}, {1}});
   TrieIndex scratch(r, {{0}, {1}});
   EXPECT_EQ(patched.num_tuples(), scratch.num_tuples());
   EXPECT_EQ(AllKeys(patched), AllKeys(scratch));
@@ -124,7 +131,9 @@ TEST(TrieIndexTest, PatchIsSetSemanticAndFiltersSelfInconsistent) {
   d.Insert({1, 2, 1});  // repeats a base key
   d.Insert({6, 7, 6});  // genuinely new
   d.Insert({8, 9, 1});  // self-inconsistent under {0, 2}: filtered
-  TrieIndex patched(base, RowView::Tail(d.store(), 0, 3), {{1}, {0, 2}});
+  RowView delta(&d.store());
+  delta.rows = {0, 1, 2};
+  TrieIndex patched(base, delta, RowView(&d.store()), {{1}, {0, 2}});
   EXPECT_EQ(patched.num_tuples(), 3u);
   EXPECT_EQ(AllKeys(patched),
             (std::vector<Tuple>{{2, 1}, {5, 4}, {7, 6}}));
@@ -137,12 +146,79 @@ TEST(TrieIndexTest, PatchOnNullaryTrieFlipsEmptiness) {
   EXPECT_EQ(base.num_tuples(), 0u);
 
   // An empty delta keeps the guard closed; the empty tuple opens it.
-  TrieIndex still_empty(base, RowView::Tail(g.store(), 0, 0), {});
+  const RowView nothing(&g.store());
+  TrieIndex still_empty(base, nothing, nothing, {});
   EXPECT_EQ(still_empty.num_tuples(), 0u);
   Relation d("D", 0);
   d.Insert({});
-  TrieIndex open(base, RowView::Tail(d.store(), 0, 1), {});
+  RowView one(&d.store());
+  one.rows = {0};
+  TrieIndex open(base, one, RowView(&d.store()), {});
   EXPECT_EQ(open.num_tuples(), 1u);
+}
+
+TEST(TrieIndexTest, DeltaConstructorMatchesRebuildOnChainedWindows) {
+  // Each window's trie is refreshed from the previous window's refreshed
+  // trie, so support counts must stay exact across the whole chain. Layouts
+  // cover every shape the planner emits for a ternary atom.
+  const std::vector<std::vector<std::vector<int>>> layouts = {
+      {{0}, {1}, {2}},  // plain
+      {{2}, {0}, {1}},  // swapped columns
+      {{1}, {0}},       // projected: column 2 dropped, supports exceed one
+      {{0, 2}, {1}},    // repeated variable R(X, Y, X)
+      {},               // nullary guard
+  };
+  Rng rng(20261017);
+  std::size_t delta_windows = 0;
+  for (const auto& layout : layouts) {
+    for (int trial = 0; trial < 3; ++trial) {
+      Relation r("R", 3);
+      auto random_tuple = [&rng] {
+        return Tuple{rng.NextInRange(-3, 3), rng.NextInRange(-3, 3),
+                     rng.NextInRange(-3, 3)};
+      };
+      for (int i = 0; i < 60; ++i) r.Insert(random_tuple());
+      TrieIndex trie(r, layout);
+      std::uint64_t snapshot = r.generation();
+      for (int window = 0; window < 200; ++window) {
+        // 0: append-only, 1: remove-only, 2: mixed.
+        const int kind = window % 3;
+        const int ops = 1 + static_cast<int>(rng.NextBelow(6));
+        for (int k = 0; k < ops; ++k) {
+          const bool append =
+              kind == 0 || (kind == 2 && rng.NextBelow(2) == 0);
+          if (append || r.size() == 0) {
+            r.Insert(random_tuple());
+          } else {
+            const std::vector<Tuple> live = r.tuples();
+            r.Remove(live[rng.NextBelow(live.size())]);
+          }
+        }
+        Relation::DeltaSet ds;
+        if (r.DeltasSince(snapshot, &ds)) {
+          if (kind == 0) {
+            EXPECT_TRUE(ds.removed_rows.empty());
+          }
+          RowView appended(&r.store());
+          appended.rows = ds.appended_rows;
+          RowView removed(&r.store());
+          removed.rows = ds.removed_rows;
+          trie = TrieIndex(trie, appended, removed, layout);
+          ++delta_windows;
+        } else {
+          trie = TrieIndex(r, layout);  // compaction: a structural break
+        }
+        snapshot = r.generation();
+        const TrieIndex scratch(r, layout);
+        ASSERT_EQ(trie.num_tuples(), scratch.num_tuples())
+            << "layout " << layout.size() << " window " << window;
+        ASSERT_EQ(AllKeys(trie), AllKeys(scratch))
+            << "layout " << layout.size() << " window " << window;
+      }
+    }
+  }
+  // Most windows must exercise the delta constructor, not the fallback.
+  EXPECT_GT(delta_windows, 2000u);
 }
 
 TEST(TrieIndexTest, SeekGallopsWithinRange) {

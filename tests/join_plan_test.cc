@@ -120,6 +120,49 @@ TEST(JoinPlanTest, RejectsCorruptPlans) {
   EXPECT_FALSE(ExecuteJoinPlan(*q, bad_index, db, nullptr).ok());
 }
 
+TEST(JoinPlanTest, RejectsPlansThatRepeatOrReorderAtomsUnsoundly) {
+  // A plan joining one atom twice (and the other never) used to run and
+  // return R's two rows; the answer is R intersect S, one row.
+  auto q = ParseQuery("Q(X,Y) :- R(X,Y), S(X,Y).");
+  ASSERT_TRUE(q.ok());
+  Database db;
+  Relation* r = db.AddRelation("R", 2);
+  r->Insert({1, 2});
+  r->Insert({3, 4});
+  db.AddRelation("S", 2)->Insert({1, 2});
+  JoinPlan repeated;
+  repeated.steps = {{0, {0, 1}}, {0, {0, 1}}};
+  EvalStats stats;
+  stats.output_size = 99;
+  auto bad = ExecuteJoinPlan(*q, repeated, db, &stats);
+  ASSERT_FALSE(bad.ok());
+  EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(stats.output_size, 0u);
+
+  JoinPlan covering;
+  covering.steps = {{1, {0, 1}}, {0, {0, 1}}};
+  auto good = ExecuteJoinPlan(*q, covering, db, nullptr);
+  ASSERT_TRUE(good.ok()) << good.status();
+  EXPECT_EQ(good->size(), 1u);
+  EXPECT_TRUE(good->Contains({1, 2}));
+
+  // Dropping a variable a later atom still joins on would bind it afresh
+  // and lose the join: rejected before any data is read.
+  auto chain = ParseQuery("Q(X) :- R(X,Y), S(Y,X).");
+  ASSERT_TRUE(chain.ok());
+  JoinPlan drops_join_var;
+  drops_join_var.steps = {{0, {0}}, {1, {0}}};
+  auto lost = ExecuteJoinPlan(*chain, drops_join_var, db, nullptr);
+  ASSERT_FALSE(lost.ok());
+  EXPECT_EQ(lost.status().code(), StatusCode::kInvalidArgument);
+
+  // Keeping a variable no prefix atom binds is rejected too.
+  JoinPlan unbound_keep;
+  unbound_keep.steps = {{0, {0, 1}}, {1, {0, 1, 7}}};
+  EXPECT_EQ(ExecuteJoinPlan(*q, unbound_keep, db, nullptr).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
 TEST(JoinPlanTest, ToStringMentionsEveryStep) {
   auto q = ParseQuery("Q(X,Z) :- R(X,Y), S(Y,Z).");
   ASSERT_TRUE(q.ok());

@@ -9,6 +9,13 @@
 namespace cqbounds {
 namespace {
 
+/// True iff the journal names the window since `gen` with no removed row --
+/// the append-only windows a cached trie refreshes by pure merging.
+bool AppendOnlyWindow(const Relation& r, std::uint64_t gen) {
+  Relation::DeltaSet ds;
+  return r.DeltasSince(gen, &ds) && ds.removed_rows.empty();
+}
+
 TEST(RelationTest, InsertDeduplicates) {
   Relation r("R", 2);
   EXPECT_TRUE(r.Insert({1, 2}));
@@ -38,7 +45,7 @@ TEST(RelationTest, RemoveErasesAndPreservesInsertionOrder) {
 TEST(RelationTest, GenerationAndAppendFloorTrackMutations) {
   Relation r("R", 2);
   EXPECT_EQ(r.generation(), 0u);
-  EXPECT_TRUE(r.AppendsOnlySince(0));
+  EXPECT_TRUE(AppendOnlyWindow(r, 0));
 
   // Appends (and only actual inserts) bump the generation; the whole
   // history so far is appends-only from any observed generation.
@@ -46,34 +53,36 @@ TEST(RelationTest, GenerationAndAppendFloorTrackMutations) {
   r.Insert({3, 4});
   EXPECT_FALSE(r.Insert({1, 2}));  // duplicate: generation must not move
   EXPECT_EQ(r.generation(), 2u);
-  EXPECT_TRUE(r.AppendsOnlySince(0));
-  EXPECT_TRUE(r.AppendsOnlySince(1));
-  EXPECT_TRUE(r.AppendsOnlySince(2));
+  EXPECT_TRUE(AppendOnlyWindow(r, 0));
+  EXPECT_TRUE(AppendOnlyWindow(r, 1));
+  EXPECT_TRUE(AppendOnlyWindow(r, 2));
   // A future generation is never appends-only reachable.
-  EXPECT_FALSE(r.AppendsOnlySince(3));
+  EXPECT_FALSE(AppendOnlyWindow(r, 3));
 
-  // A structural mutation raises the append floor: snapshots older than it
-  // can no longer be patched, the current generation still can.
+  // Removing one of two rows compacts (a structural break): snapshots
+  // older than it can no longer be patched, the current generation still
+  // can.
   EXPECT_TRUE(r.Remove({1, 2}));
+  EXPECT_EQ(r.compactions(), 1u);
   EXPECT_EQ(r.generation(), 3u);
-  EXPECT_FALSE(r.AppendsOnlySince(0));
-  EXPECT_FALSE(r.AppendsOnlySince(2));
-  EXPECT_TRUE(r.AppendsOnlySince(3));
+  EXPECT_FALSE(AppendOnlyWindow(r, 0));
+  EXPECT_FALSE(AppendOnlyWindow(r, 2));
+  EXPECT_TRUE(AppendOnlyWindow(r, 3));
   r.Insert({5, 6});
-  EXPECT_TRUE(r.AppendsOnlySince(3));
-  EXPECT_TRUE(r.AppendsOnlySince(4));
+  EXPECT_TRUE(AppendOnlyWindow(r, 3));
+  EXPECT_TRUE(AppendOnlyWindow(r, 4));
 
-  // Failed structural mutations are no-ops on both counters.
+  // Failed structural mutations are no-ops on the journal.
   EXPECT_FALSE(r.Remove({9, 9}));
   EXPECT_EQ(r.generation(), 4u);
-  EXPECT_TRUE(r.AppendsOnlySince(3));
+  EXPECT_TRUE(AppendOnlyWindow(r, 3));
 }
 
 TEST(RelationTest, ClearBumpsGenerationUnlessAlreadyEmpty) {
   Relation r("R", 1);
   r.Clear();  // empty: no observable change, no bump
   EXPECT_EQ(r.generation(), 0u);
-  EXPECT_TRUE(r.AppendsOnlySince(0));
+  EXPECT_TRUE(AppendOnlyWindow(r, 0));
 
   r.Insert({1});
   r.Insert({2});
@@ -81,12 +90,12 @@ TEST(RelationTest, ClearBumpsGenerationUnlessAlreadyEmpty) {
   EXPECT_EQ(r.size(), 0u);
   EXPECT_EQ(r.generation(), 3u);
   EXPECT_FALSE(r.Contains({1}));
-  EXPECT_FALSE(r.AppendsOnlySince(2));
-  EXPECT_TRUE(r.AppendsOnlySince(3));
+  EXPECT_FALSE(AppendOnlyWindow(r, 2));
+  EXPECT_TRUE(AppendOnlyWindow(r, 3));
   // Post-clear inserts are appends again from the cleared state on.
   r.Insert({3});
-  EXPECT_TRUE(r.AppendsOnlySince(3));
-  EXPECT_FALSE(r.AppendsOnlySince(0));
+  EXPECT_TRUE(AppendOnlyWindow(r, 3));
+  EXPECT_FALSE(AppendOnlyWindow(r, 0));
 }
 
 TEST(RelationTest, ProjectWithRepeats) {
