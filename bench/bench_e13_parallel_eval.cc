@@ -5,8 +5,10 @@
 // warm is the enumeration itself. The parallel executor splits the depth-0
 // leapfrog intersection -- the matches of the first variable in the global
 // order -- across a ThreadPool's workers plus the calling thread, each
-// descending its claimed subtrees with private scratch and a private
-// output, merged (with exact per-depth counter sums) at the end.
+// descending its claimed subtrees with private scratch and private row
+// blocks, merged in depth-0 match order (with exact per-depth counter
+// sums) at the end, so the pooled output equals the serial one row for
+// row.
 //
 // The tables are deterministic: results, per-depth binding counts and the
 // AGM-envelope accounting are *identical* to the serial run's at every
@@ -14,7 +16,10 @@
 // answers. Wall times live in the timed sections (informational in
 // bench_diff): the scaling they show depends on the machine's core count,
 // and on a single-core host the curve is honestly flat -- the fan-out adds
-// a small re-seek overhead per depth-0 match and gains nothing.
+// a small re-seek overhead per depth-0 match and gains nothing. The
+// chain300 and 4clique300 pairs time the two sink-heavy shapes (many
+// duplicate head rows; every binding an output row), where the serial
+// merge through the row-append door bounds what the pool can gain.
 
 #include <string>
 #include <vector>
@@ -36,15 +41,19 @@ Query TriangleQuery() {
 /// offsets 1, 2 and 3 in both directions, so triangles ({i, i+1, i+2}) and
 /// 4-cliques ({i, i+1, i+2, i+3}) genuinely exist -- n depth-0 matches,
 /// deterministic output counts.
-Database ChordedCycle(int n) {
-  Database db;
-  Relation* e = db.AddRelation("E", 2);
+void AddChordedCycle(Database* db, const std::string& name, int n) {
+  Relation* e = db->AddRelation(name, 2);
   for (int i = 0; i < n; ++i) {
     for (int d = 1; d <= 3; ++d) {
       e->Insert({i, (i + d) % n});
       e->Insert({(i + d) % n, i});
     }
   }
+}
+
+Database ChordedCycle(int n) {
+  Database db;
+  AddChordedCycle(&db, "E", n);
   return db;
 }
 
@@ -72,6 +81,30 @@ EvalContext& TriCtx() {
   static EvalContext ctx(TriDb());
   return ctx;
 }
+// The sink-heavy shapes: the projecting chain (the hybrid emits every
+// (X,Y,Z) binding, ~2.8 per distinct (X,Z) head row) and 4-clique listing
+// (every full binding is an output row), both on the same chorded cycle.
+Query& ChainQ() {
+  static Query q = ParseQuery("Q(X,Z) :- R(X,Y), S(Y,Z).").ValueOrDie();
+  return q;
+}
+Database& ChainDb() {
+  static Database db = [] {
+    Database d;
+    AddChordedCycle(&d, "R", kTimedN);
+    AddChordedCycle(&d, "S", kTimedN);
+    return d;
+  }();
+  return db;
+}
+EvalContext& ChainCtx() {
+  static EvalContext ctx(ChainDb());
+  return ctx;
+}
+Query& CliqueQ() {
+  static Query q = FourCliqueQuery();
+  return q;
+}
 ThreadPool& PoolOf(int workers) {
   static ThreadPool pool1(0), pool2(1), pool4(3), pool8(7);
   switch (workers) {
@@ -84,6 +117,12 @@ ThreadPool& PoolOf(int workers) {
 
 void PrepareTimerFixtures() {
   EvaluateQuery(TriQ(), TriDb(), PlanKind::kGenericJoin, &TriCtx(), nullptr)
+      .ValueOrDie();
+  EvaluateQuery(CliqueQ(), TriDb(), PlanKind::kGenericJoin, &TriCtx(),
+                nullptr)
+      .ValueOrDie();
+  EvaluateQuery(ChainQ(), ChainDb(), PlanKind::kHybridYannakakis, &ChainCtx(),
+                nullptr)
       .ValueOrDie();
 }
 
@@ -174,6 +213,29 @@ CQB_BENCH_TIMED("triangle300/threads4", [] {
 CQB_BENCH_TIMED("triangle300/threads8", [] {
   EvaluateQuery(TriQ(), TriDb(), PlanKind::kGenericJoin, &TriCtx(),
                 &PoolOf(7), nullptr)
+      .ValueOrDie();
+})
+
+CQB_BENCH_TIMED("chain300/threads1", [] {
+  EvaluateQuery(ChainQ(), ChainDb(), PlanKind::kHybridYannakakis, &ChainCtx(),
+                nullptr)
+      .ValueOrDie();
+})
+
+CQB_BENCH_TIMED("chain300/threads4", [] {
+  EvaluateQuery(ChainQ(), ChainDb(), PlanKind::kHybridYannakakis, &ChainCtx(),
+                &PoolOf(3), nullptr)
+      .ValueOrDie();
+})
+
+CQB_BENCH_TIMED("4clique300/threads1", [] {
+  EvaluateQuery(CliqueQ(), TriDb(), PlanKind::kGenericJoin, &TriCtx(), nullptr)
+      .ValueOrDie();
+})
+
+CQB_BENCH_TIMED("4clique300/threads4", [] {
+  EvaluateQuery(CliqueQ(), TriDb(), PlanKind::kGenericJoin, &TriCtx(),
+                &PoolOf(3), nullptr)
       .ValueOrDie();
 })
 

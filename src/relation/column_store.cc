@@ -4,14 +4,51 @@
 
 namespace cqbounds {
 
-std::uint32_t ValueDictionary::Intern(Value v) {
-  auto [it, inserted] =
-      codes_.emplace(v, static_cast<std::uint32_t>(values_.size()));
-  if (inserted) {
-    CQB_CHECK(values_.size() < kNoCode);
-    values_.push_back(v);
+namespace {
+
+/// Fibonacci hashing: the slot is the top 64 - `shift` bits of
+/// v * 2^64/phi. One multiply, and the top bits depend on every bit of
+/// `v`, so strides, multiples of 2^32 and sign-extended negatives spread
+/// over the slots.
+std::size_t SlotFor(Value v, int shift) {
+  return static_cast<std::size_t>(
+      (static_cast<std::uint64_t>(v) * 0x9e3779b97f4a7c15ull) >> shift);
+}
+
+}  // namespace
+
+std::size_t ValueDictionary::ProbeSlot(Value v) const {
+  const std::size_t mask = slots_.size() - 1;
+  std::size_t slot = SlotFor(v, shift_);
+  while (slots_[slot] != kNoCode && values_[slots_[slot]] != v) {
+    slot = (slot + 1) & mask;
   }
-  return it->second;
+  return slot;
+}
+
+void ValueDictionary::Grow() {
+  slots_.assign(slots_.empty() ? 16 : slots_.size() * 2, kNoCode);
+  shift_ = 64;
+  for (std::size_t size = slots_.size(); size > 1; size >>= 1) --shift_;
+  const std::size_t mask = slots_.size() - 1;
+  for (std::size_t code = 0; code < values_.size(); ++code) {
+    // Interned values are distinct: probe straight to the first free slot.
+    std::size_t slot = SlotFor(values_[code], shift_);
+    while (slots_[slot] != kNoCode) slot = (slot + 1) & mask;
+    slots_[slot] = static_cast<std::uint32_t>(code);
+  }
+}
+
+std::uint32_t ValueDictionary::Intern(Value v) {
+  // Keep load factor under 1/2, counting the value about to be minted.
+  if ((values_.size() + 1) * 2 > slots_.size()) Grow();
+  const std::size_t slot = ProbeSlot(v);
+  if (slots_[slot] != kNoCode) return slots_[slot];
+  CQB_CHECK(values_.size() < kNoCode);
+  const auto code = static_cast<std::uint32_t>(values_.size());
+  slots_[slot] = code;
+  values_.push_back(v);
+  return code;
 }
 
 ColumnStore::ColumnStore(int arity) : arity_(arity) {
@@ -61,7 +98,9 @@ std::size_t ColumnStore::ProbeSlot(const std::uint32_t* codes) const {
 }
 
 void ColumnStore::EnsureSlotCapacity(std::size_t upcoming_rows) {
-  // Keep load factor under 1/2; power-of-two table for mask probing.
+  // Keep load factor under 1/2; power-of-two table for mask probing. The
+  // early return keeps the per-row call on the append path a compare.
+  if (!slots_.empty() && upcoming_rows * 2 <= slots_.size()) return;
   std::size_t want = 16;
   while (want < upcoming_rows * 2) want <<= 1;
   if (want <= slots_.size()) return;
@@ -168,42 +207,38 @@ std::size_t ColumnStore::AppendBatch(const std::vector<Tuple>& batch) {
   return added;
 }
 
-std::size_t ColumnStore::AppendFlat(const std::vector<Value>& flat,
-                                    std::size_t num_rows) {
-  CQB_CHECK(flat.size() ==
-            num_rows * static_cast<std::size_t>(arity_ == 0 ? 0 : arity_));
-  EnsureSlotCapacity(rows_ + num_rows);
-  for (int c = 0; c < arity_; ++c) {
-    columns_[static_cast<std::size_t>(c)].reserve(rows_ + num_rows);
+std::size_t ColumnStore::AppendRows(const RowSpan* spans,
+                                    std::size_t num_spans) {
+  std::size_t total = 0;
+  for (std::size_t i = 0; i < num_spans; ++i) total += spans[i].rows;
+  // Pre-size once for the whole batch. Columns grow geometrically, so a
+  // caller landing many small batches stays amortized O(1) per row.
+  const std::size_t want = rows_ + total;
+  EnsureSlotCapacity(want);
+  for (auto& col : columns_) {
+    if (col.capacity() < want) col.reserve(std::max(want, 2 * col.capacity()));
   }
   const std::size_t first = rows_;
   std::size_t added = 0;
   const std::size_t width = static_cast<std::size_t>(arity_);
-  for (std::size_t r = 0; r < num_rows; ++r) {
-    for (std::size_t c = 0; c < width; ++c) {
-      scratch_[c] = dict_.Intern(flat[r * width + c]);
+  for (std::size_t i = 0; i < num_spans; ++i) {
+    const Value* values = spans[i].values;
+    for (std::size_t r = 0; r < spans[i].rows; ++r) {
+      for (std::size_t c = 0; c < width; ++c) {
+        scratch_[c] = dict_.Intern(values[r * width + c]);
+      }
+      if (AppendCodedRow(scratch_.data())) ++added;
     }
-    if (AppendCodedRow(scratch_.data())) ++added;
   }
   RecordAppend(first, added, /*seal=*/true);
   return added;
 }
 
-std::size_t ColumnStore::AppendFrom(const ColumnStore& other) {
-  CQB_CHECK(other.arity_ == arity_);
-  EnsureSlotCapacity(rows_ + other.live_size());
-  const std::size_t first = rows_;
-  std::size_t added = 0;
-  for (std::size_t row = 0; row < other.rows_; ++row) {
-    if (!other.IsLive(row)) continue;
-    for (int c = 0; c < arity_; ++c) {
-      scratch_[static_cast<std::size_t>(c)] =
-          dict_.Intern(other.ValueAt(row, c));
-    }
-    if (AppendCodedRow(scratch_.data())) ++added;
-  }
-  RecordAppend(first, added, /*seal=*/true);
-  return added;
+std::size_t ColumnStore::AppendFlat(const std::vector<Value>& flat,
+                                    std::size_t num_rows) {
+  CQB_CHECK(flat.size() == num_rows * static_cast<std::size_t>(arity_));
+  const RowSpan span{flat.data(), num_rows};
+  return AppendRows(&span, 1);
 }
 
 ColumnStore::EraseResult ColumnStore::Erase(const Tuple& t,

@@ -3,7 +3,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "relation/tuple.h"
@@ -24,6 +23,12 @@ struct ColumnStats {
 /// codes in first-seen order. One dictionary is shared by all columns of a
 /// ColumnStore so that intra-tuple equality (repeated query variables such
 /// as R(X,X)) reduces to code equality across columns.
+///
+/// The value -> code map is the scheme of ColumnStore's row index: an
+/// open-addressing table of codes (power-of-two slots, load factor < 1/2,
+/// linear probing) that compares candidates against `values_` directly, so
+/// it stores 4 bytes per slot and nothing else -- 16-24 bytes per distinct
+/// value including the decode array, and no per-value heap node.
 class ValueDictionary {
  public:
   /// Sentinel returned by CodeOf for values never interned. Doubles as the
@@ -35,16 +40,25 @@ class ValueDictionary {
 
   /// Code for `v`, or kNoCode if `v` was never interned.
   std::uint32_t CodeOf(Value v) const {
-    auto it = codes_.find(v);
-    return it == codes_.end() ? kNoCode : it->second;
+    return slots_.empty() ? kNoCode : slots_[ProbeSlot(v)];
   }
 
   Value ValueOf(std::uint32_t code) const { return values_[code]; }
   std::size_t size() const { return values_.size(); }
 
  private:
+  /// Slot holding `v`'s code, or the free slot where it would go. Requires
+  /// a non-empty slot table.
+  std::size_t ProbeSlot(Value v) const;
+  /// Doubles the slot table (16 slots at first) and re-inserts every code.
+  void Grow();
+
   std::vector<Value> values_;
-  std::unordered_map<Value, std::uint32_t> codes_;
+  /// Open-addressing index: slot -> code, kNoCode when free.
+  std::vector<std::uint32_t> slots_;
+  /// 64 - log2(slots_.size()): the hash keeps the product's top bits.
+  /// Set by Grow; unused while the table is empty.
+  int shift_ = 64;
 };
 
 /// Dictionary-encoded columnar tuple storage with set semantics: `arity`
@@ -134,12 +148,24 @@ class ColumnStore {
   /// rows actually added; seals them as one new segment when nonzero.
   std::size_t AppendBatch(const std::vector<Tuple>& batch);
 
-  /// As AppendBatch over row-major flat values: `flat` holds
+  /// A borrowed run of `rows` row-major rows: `rows * arity()` values
+  /// starting at `values` (which a nullary store never reads).
+  struct RowSpan {
+    const Value* values = nullptr;
+    std::size_t rows = 0;
+  };
+
+  /// The row-append door: appends the rows of `spans[0..num_spans)`, in
+  /// order, with set semantics -- each row is one probe of the row index,
+  /// and a row equal to an existing or earlier one is dropped. The columns
+  /// and the slot table are pre-sized once for the spans' total, values are
+  /// interned straight from the caller's buffers (no Tuple per row), and
+  /// the rows actually added seal one new segment. Returns their number.
+  std::size_t AppendRows(const RowSpan* spans, std::size_t num_spans);
+
+  /// AppendRows over one vector of row-major values: `flat` holds
   /// `num_rows * arity()` values (empty for nullary stores).
   std::size_t AppendFlat(const std::vector<Value>& flat, std::size_t num_rows);
-
-  /// As AppendBatch reading straight from another store's columns.
-  std::size_t AppendFrom(const ColumnStore& other);
 
   /// Removes `t` if present. The common case is a tombstone: O(arity), row
   /// ids stable, the open-addressing index untouched. When the tombstone

@@ -133,10 +133,65 @@ Status ValidateGenericJoinInputs(const Query& query,
   return Status::OK();
 }
 
+/// The evaluators' result sink. An executor appends each head row's values
+/// in place to `block` and calls EndRow -- no Tuple per row, no per-row
+/// insert. Rows move on in blocks of kSinkBlockRows: a serial executor
+/// flushes each full block into `output` through the row-append door
+/// (Relation::InsertRows, one intern-and-dedup pass), so a projecting head
+/// emitting many duplicates keeps the sink small; a pooled worker (null
+/// `output`) seals full blocks and keeps them for the match-ordered merge.
+/// Every block after the first is allocated at full size and no sealed
+/// block is ever copied, so a worker holds its rows plus at most one
+/// partial block.
+struct RowSink {
+  /// Rows per block: enough to amortize the door's per-call work, few
+  /// enough to stay cache-friendly.
+  static constexpr std::size_t kSinkBlockRows = 4096;
+
+  RowSink(Relation* out, std::size_t row_width)
+      : output(out), width(row_width) {}
+
+  /// Ends the row whose values were just appended to `block`.
+  void EndRow() {
+    if (++block_rows < kSinkBlockRows) return;
+    if (output != nullptr) {
+      Flush();
+      return;
+    }
+    sealed.push_back(std::move(block));
+    block.clear();
+    block.reserve(kSinkBlockRows * width);
+    block_rows = 0;
+  }
+
+  /// Serial sinks: lands the pending rows in `output`, emission order kept.
+  void Flush() {
+    if (block_rows == 0) return;
+    const ColumnStore::RowSpan span{block.data(), block_rows};
+    output->InsertRows(&span, 1);
+    block.clear();
+    block_rows = 0;
+  }
+
+  /// Rows emitted so far; in a pooled sink, row r sits in block
+  /// r / kSinkBlockRows at offset r % kSinkBlockRows.
+  std::size_t rows() const {
+    return sealed.size() * kSinkBlockRows + block_rows;
+  }
+
+  Relation* output;
+  std::size_t width;
+  std::vector<Value> block;
+  std::size_t block_rows = 0;
+  std::vector<std::vector<Value>> sealed;
+};
+
 /// State of the leapfrog search: one trie per atom plus a stack of sibling
 /// ranges tracking each trie's descent along the global variable order.
 struct GenericJoinSearch {
-  Relation* output;
+  /// Where head rows go: flushed into the output relation (serial search)
+  /// or kept for the match-ordered merge (pooled worker, null output).
+  RowSink sink;
   EvalStats* stats;
 
   /// Variable ids in binding order.
@@ -156,7 +211,7 @@ struct GenericJoinSearch {
   /// variable-free). Past it the search only needs *one* witness per bound
   /// prefix -- the head tuple is already determined -- so Run returns as
   /// soon as a completion is found instead of enumerating every witness
-  /// for output->Insert to dedup away.
+  /// for the sink to dedup away.
   int last_head_depth = -1;
   /// Per-depth leapfrog scratch (cursor and trie level per participating
   /// atom), allocated once -- Run visits thousands of nodes and must not
@@ -164,9 +219,9 @@ struct GenericJoinSearch {
   std::vector<std::vector<std::size_t>> cursor_scratch;
   std::vector<std::vector<int>> level_scratch;
 
-  GenericJoinSearch(Relation* out, EvalStats* st,
+  GenericJoinSearch(Relation* out, std::size_t head_width, EvalStats* st,
                     const std::vector<int>& var_order)
-      : output(out), stats(st), order(var_order) {}
+      : sink(out, head_width), stats(st), order(var_order) {}
 
   /// Binds order[depth..] recursively; every match at a depth increments
   /// that depth's intermediate counter (the quantity the AGM envelope
@@ -174,11 +229,8 @@ struct GenericJoinSearch {
   /// this node -- the signal the projection-aware early exit keys on.
   bool Run(std::size_t depth) {
     if (depth == order.size()) {
-      Tuple head(head_vars.size());
-      for (std::size_t i = 0; i < head_vars.size(); ++i) {
-        head[i] = assignment[head_vars[i]];
-      }
-      output->Insert(head);
+      for (int v : head_vars) sink.block.push_back(assignment[v]);
+      sink.EndRow();
       return true;
     }
     // Past the last head variable a single witness suffices.
@@ -246,8 +298,10 @@ struct GenericJoinSearch {
 /// which every atom participating at depth 0 agrees within its root range
 /// -- without descending. The same intersection the serial search's first
 /// level runs, reified into a work list the parallel executor partitions.
-/// Seeks are charged to `search.stats`.
-std::vector<Value> CollectDepth0Matches(const GenericJoinSearch& search) {
+/// Seeks are counted into `*seeks`, not charged: a caller that falls back
+/// to the serial search re-seeks depth 0 there.
+std::vector<Value> CollectDepth0Matches(const GenericJoinSearch& search,
+                                        std::size_t* seeks) {
   std::vector<Value> matches;
   const std::vector<int>& atoms = search.atoms_at[0];
   std::vector<std::size_t> cursor(atoms.size());
@@ -263,7 +317,7 @@ std::vector<Value> CollectDepth0Matches(const GenericJoinSearch& search) {
       const int a = atoms[k];
       const TrieIndex::Range r{cursor[k], search.range_stack[a][0].end};
       const std::size_t pos = search.tries[a]->SeekGE(0, r, target);
-      ++search.stats->intersection_seeks;
+      ++*seeks;
       if (pos >= r.end) return matches;
       cursor[k] = pos;
       const Value found = search.tries[a]->ValueAt(0, pos);
@@ -284,28 +338,42 @@ std::vector<Value> CollectDepth0Matches(const GenericJoinSearch& search) {
 /// `pool`'s workers plus the calling thread. Each thread claims matches
 /// dynamically (skewed subtree costs self-balance), binds the claimed value
 /// and descends with a private copy of the search state -- per-depth
-/// scratch, range stacks, assignment and output are all thread-local by
-/// construction, so the only shared mutable state is the claim counter.
-/// Outputs and per-depth counters are merged at the end; the merged
-/// counters equal a serial run's, so the AGM-envelope accounting is
-/// unchanged. Returns false (leaving `proto` and `local` untouched beyond
-/// the depth-0 seeks) when there are fewer than two matches to split --
-/// the caller then runs the serial search over the already-known matches'
-/// level, which re-seeks but stays correct.
+/// scratch, range stacks, assignment and row buffer are all thread-local by
+/// construction, so the only shared mutable state is the claim counter (and
+/// each match's row span, written only by the thread that claimed it).
+///
+/// Workers record where each match's head rows sit in their buffers; the
+/// merge then ingests those spans in *match order* straight from the
+/// buffers, in one pre-sized pass through the row-append door. The serial
+/// search visits the same matches in the same order and emits the same
+/// rows below each, so the output equals the serial output row for row,
+/// whichever thread claimed what. Per-depth counters are summed, so the
+/// AGM-envelope accounting is unchanged. Returns false, touching neither
+/// `output` nor `local`, when there are fewer than two matches to split --
+/// the caller then runs the serial search, which seeks depth 0 itself.
 bool RunPartitionedDepth0(const GenericJoinSearch& proto, ThreadPool* pool,
                           Relation* output, EvalStats* local) {
-  const std::vector<Value> matches = CollectDepth0Matches(proto);
+  std::size_t depth0_seeks = 0;
+  const std::vector<Value> matches = CollectDepth0Matches(proto, &depth0_seeks);
   if (matches.size() < 2) return false;
+  local->intersection_seeks += depth0_seeks;
   const std::size_t workers = std::min<std::size_t>(
       static_cast<std::size_t>(pool->num_workers()) + 1, matches.size());
   const std::vector<int>& order = proto.order;
 
+  /// The head rows one match produced: a row range of one worker's sink.
+  struct MatchRows {
+    std::size_t worker = 0;
+    std::size_t first_row = 0;
+    std::size_t rows = 0;
+  };
+  std::vector<MatchRows> match_rows(matches.size());
+  const std::size_t width = proto.head_vars.size();
+  std::vector<std::vector<std::vector<Value>>> blocks(workers);
   std::atomic<std::size_t> next{0};
-  std::vector<Relation> outputs(workers,
-                                Relation(output->name(), output->arity()));
   std::vector<EvalStats> worker_stats(workers);
   pool->ParallelFor(workers, [&](std::size_t w) {
-    GenericJoinSearch ws(&outputs[w], &worker_stats[w], order);
+    GenericJoinSearch ws(/*out=*/nullptr, width, &worker_stats[w], order);
     ws.tries = proto.tries;
     ws.atoms_at = proto.atoms_at;
     ws.range_stack = proto.range_stack;  // root ranges only at this point
@@ -327,25 +395,42 @@ bool RunPartitionedDepth0(const GenericJoinSearch& proto, ThreadPool* pool,
         ++ws.stats->intersection_seeks;
         ws.range_stack[a].push_back(ws.tries[a]->ChildRange(0, pos));
       }
+      const std::size_t first_row = ws.sink.rows();
       ws.Run(1);
+      match_rows[i] = MatchRows{w, first_row, ws.sink.rows() - first_row};
       for (int a : atoms0) ws.range_stack[a].pop_back();
     }
+    ws.sink.sealed.push_back(std::move(ws.sink.block));
+    blocks[w] = std::move(ws.sink.sealed);
   });
 
   local->intermediate_sizes[0] += matches.size();
-  for (std::size_t w = 0; w < workers; ++w) {
-    const EvalStats& s = worker_stats[w];
+  for (const EvalStats& s : worker_stats) {
     for (std::size_t d = 1; d < s.intermediate_sizes.size(); ++d) {
       local->intermediate_sizes[d] += s.intermediate_sizes[d];
     }
     local->intersection_seeks += s.intersection_seeks;
     local->projection_subtrees_skipped += s.projection_subtrees_skipped;
-    // Set semantics dedups head tuples that distinct depth-0 subtrees both
-    // derived (possible whenever the head projects order[0] away). The
-    // merge reads the worker's columns directly -- one batch append per
-    // worker, no per-tuple materialization.
-    output->InsertFrom(outputs[w]);
   }
+  // Set semantics dedups head tuples that distinct depth-0 subtrees both
+  // derived (possible whenever the head projects order[0] away), keeping
+  // the first in match order -- the one the serial search keeps. A match
+  // whose rows straddle a block boundary contributes one span per block.
+  constexpr std::size_t kBlockRows = RowSink::kSinkBlockRows;
+  std::vector<ColumnStore::RowSpan> spans;
+  spans.reserve(matches.size());
+  for (const MatchRows& m : match_rows) {
+    for (std::size_t row = m.first_row, end = m.first_row + m.rows;
+         row < end;) {
+      const std::size_t offset = row % kBlockRows;
+      const std::size_t take = std::min(end - row, kBlockRows - offset);
+      const std::vector<Value>& block = blocks[m.worker][row / kBlockRows];
+      spans.push_back(
+          ColumnStore::RowSpan{block.data() + offset * width, take});
+      row += take;
+    }
+  }
+  output->InsertRows(spans.data(), spans.size());
   local->parallel_workers = workers;
   return true;
 }
@@ -381,7 +466,8 @@ Result<Relation> GenericJoinImpl(const Query& query, const Database& db,
     rank[variable_order[d]] = static_cast<int>(d);
   }
 
-  GenericJoinSearch search(&output, local, variable_order);
+  GenericJoinSearch search(&output, query.head_vars().size(), local,
+                           variable_order);
   search.assignment.assign(query.num_variables(), 0);
   search.head_vars = query.head_vars();
   search.atoms_at.resize(variable_order.size());
@@ -441,9 +527,12 @@ Result<Relation> GenericJoinImpl(const Query& query, const Database& db,
                           !search.atoms_at[0].empty();
     if (!parallel || !RunPartitionedDepth0(search, pool, &output, local)) {
       search.Run(0);
+      search.sink.Flush();
     }
   } else if (query.atoms().empty()) {
-    output.Insert(Tuple{});  // empty body: the single empty substitution
+    // Empty body: the single empty substitution.
+    const ColumnStore::RowSpan empty_row{nullptr, 1};
+    output.InsertRows(&empty_row, 1);
   }
 
   for (std::size_t s : local->intermediate_sizes) {
@@ -689,13 +778,12 @@ Result<Relation> BinaryJoinImpl(const Query& query,
   if (!bindings.empty()) {
     for (int var : query.head_vars()) head_positions.push_back(var_slot[var]);
   }
-  Tuple head_tuple(query.head_vars().size());
+  RowSink sink(&output, head_positions.size());
   for (const Tuple& binding : bindings) {
-    for (std::size_t i = 0; i < head_positions.size(); ++i) {
-      head_tuple[i] = binding[head_positions[i]];
-    }
-    output.Insert(head_tuple);
+    for (int pos : head_positions) sink.block.push_back(binding[pos]);
+    sink.EndRow();
   }
+  sink.Flush();
   local->output_size = output.size();
   return output;
 }
@@ -1521,7 +1609,7 @@ Relation EquiJoin(const Relation& left, const Relation& right,
     }
     index[key].push_back(static_cast<std::uint32_t>(row));
   }
-  Tuple joined(static_cast<std::size_t>(out.arity()));
+  RowSink joined(&out, static_cast<std::size_t>(out.arity()));
   for (std::size_t lrow = 0; lrow < ls.size(); ++lrow) {
     if (!ls.IsLive(lrow)) continue;
     for (std::size_t i = 0; i < pairs.size(); ++i) {
@@ -1531,15 +1619,15 @@ Relation EquiJoin(const Relation& left, const Relation& right,
     if (it == index.end()) continue;
     for (const std::uint32_t rrow : it->second) {
       for (int c = 0; c < left.arity(); ++c) {
-        joined[static_cast<std::size_t>(c)] = ls.ValueAt(lrow, c);
+        joined.block.push_back(ls.ValueAt(lrow, c));
       }
       for (int c = 0; c < right.arity(); ++c) {
-        joined[static_cast<std::size_t>(left.arity() + c)] =
-            rs.ValueAt(rrow, c);
+        joined.block.push_back(rs.ValueAt(rrow, c));
       }
-      out.Insert(joined);
+      joined.EndRow();
     }
   }
+  joined.Flush();
   return out;
 }
 

@@ -220,11 +220,12 @@ Result<Relation> EvaluateQuery(const Query& query, const Database& db,
 /// variable in the binding order are enumerated once (cheap -- one trie
 /// level), then claimed dynamically by the pool's workers plus the calling
 /// thread, each descending its claimed subtrees with private scratch and a
-/// private output relation; outputs and stats are merged (set semantics
-/// dedups overlapping head tuples) when every subtree finishes. Every
-/// worker's per-depth binding counts still sum to the serial run's, so the
-/// AGM envelope guarantee is unchanged -- as are results, exactly. The
-/// hybrid's semi-join pass itself stays serial.
+/// private flat row buffer. When every subtree finishes, the rows are
+/// ingested in depth-0 match order (set semantics dedups overlapping head
+/// tuples, keeping the first), so the result equals the serial result row
+/// for row, in the same order. Every worker's per-depth binding counts
+/// still sum to the serial run's, so the AGM envelope guarantee is
+/// unchanged. The hybrid's semi-join pass itself stays serial.
 ///
 /// Falls back to the serial search when `pool` is null or has no workers,
 /// when there are fewer than two depth-0 matches to split, or when the head

@@ -19,15 +19,16 @@ std::size_t Relation::InsertBatch(const std::vector<Tuple>& batch) {
   return added;
 }
 
-std::size_t Relation::InsertFlat(const std::vector<Value>& flat_values,
-                                 std::size_t num_rows) {
-  const std::size_t added = store_.AppendFlat(flat_values, num_rows);
+std::size_t Relation::InsertRows(const ColumnStore::RowSpan* spans,
+                                 std::size_t num_spans) {
+  const std::size_t added = store_.AppendRows(spans, num_spans);
   generation_ += added;
   return added;
 }
 
-std::size_t Relation::InsertFrom(const Relation& other) {
-  const std::size_t added = store_.AppendFrom(other.store_);
+std::size_t Relation::InsertFlat(const std::vector<Value>& flat_values,
+                                 std::size_t num_rows) {
+  const std::size_t added = store_.AppendFlat(flat_values, num_rows);
   generation_ += added;
   return added;
 }

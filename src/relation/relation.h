@@ -87,13 +87,17 @@ class Relation {
   /// one column segment). Returns that count.
   std::size_t InsertBatch(const std::vector<Tuple>& batch);
 
-  /// As InsertBatch over row-major flat values (`num_rows * arity()`
+  /// The row-append door (ColumnStore::AppendRows): the rows of
+  /// `spans[0..num_spans)`, in order, with one dedup pass, pre-sized once,
+  /// sealed as one segment and journaled as one generation bump by the
+  /// number of rows actually added. Returns that count.
+  std::size_t InsertRows(const ColumnStore::RowSpan* spans,
+                         std::size_t num_spans);
+
+  /// InsertRows over one vector of row-major values (`num_rows * arity()`
   /// entries) -- the bulk-ingestion path: no per-tuple Tuple allocation.
   std::size_t InsertFlat(const std::vector<Value>& flat_values,
                          std::size_t num_rows);
-
-  /// As InsertBatch reading straight from another relation's columns.
-  std::size_t InsertFrom(const Relation& other);
 
   /// Removes `t` if present; returns true if removed. Preserves the order
   /// of the remaining tuples. A removal bumps the generation, but

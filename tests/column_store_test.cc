@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <functional>
+#include <limits>
 #include <set>
+#include <unordered_map>
 #include <vector>
 
 #include "relation/column_store.h"
@@ -30,6 +32,72 @@ TEST(ValueDictionaryTest, InternsInFirstSeenOrderAndRoundTrips) {
   EXPECT_EQ(dict.ValueOf(0), 42);
   EXPECT_EQ(dict.ValueOf(1), -7);
   EXPECT_EQ(dict.ValueOf(2), 0);
+}
+
+TEST(ValueDictionaryTest, MatchesAHashMapReferenceOnAdversarialKeys) {
+  // Differential check of the open-addressing dictionary against a
+  // std::unordered_map reference: codes minted in first-seen order, stable
+  // across every rehash, and CodeOf exact on present and absent values.
+  ValueDictionary dict;
+  for (Value v : {Value{0}, std::numeric_limits<Value>::min(),
+                  std::numeric_limits<Value>::max()}) {
+    EXPECT_EQ(dict.CodeOf(v), ValueDictionary::kNoCode);  // empty table
+  }
+
+  std::vector<Value> keys = {std::numeric_limits<Value>::min(),
+                             std::numeric_limits<Value>::min() + 1,
+                             std::numeric_limits<Value>::max(),
+                             std::numeric_limits<Value>::max() - 1, 0, -1, 1};
+  for (Value v = -1; v >= -1000; --v) keys.push_back(v);
+  // Multiples of 2^32 (and other large powers of two): identical low bits,
+  // so a hash keeping the low bits of v * A would put them in one slot.
+  for (int shift : {20, 32, 40, 48}) {
+    for (Value k = -300; k <= 300; ++k) {
+      keys.push_back(static_cast<Value>(static_cast<std::uint64_t>(k)
+                                        << shift));
+    }
+  }
+  // A stride s with s * A == 2^40 (mod 2^64) for the golden-ratio
+  // multiplier A: the top bits of k * s * A == k * 2^40 barely move with
+  // k, so these keys collide under the dictionary's own Fibonacci hash and
+  // pile into one long probe run.
+  const std::uint64_t a = 0x9e3779b97f4a7c15ull;
+  std::uint64_t inverse = a;  // Newton's iteration for A^-1 mod 2^64
+  for (int i = 0; i < 6; ++i) inverse *= 2 - a * inverse;
+  ASSERT_EQ(a * inverse, 1u);
+  for (std::uint64_t k = 1; k <= 1000; ++k) {
+    keys.push_back(static_cast<Value>(k * (inverse << 40)));
+  }
+  Rng rng(20261017);
+  for (int i = 0; i < 4000; ++i) keys.push_back(static_cast<Value>(rng.Next()));
+
+  std::unordered_map<Value, std::uint32_t> reference;
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    const Value v = keys[i];
+    const auto [it, fresh] = reference.emplace(
+        v, static_cast<std::uint32_t>(reference.size()));
+    if (fresh) {
+      // Absent until interned.
+      ASSERT_EQ(dict.CodeOf(v), ValueDictionary::kNoCode) << v;
+    }
+    ASSERT_EQ(dict.Intern(v), it->second) << v;
+    ASSERT_EQ(dict.size(), reference.size());
+    // Re-intern an earlier key now and then: codes must not move.
+    const Value earlier = keys[rng.NextBelow(i + 1)];
+    ASSERT_EQ(dict.Intern(earlier), reference.at(earlier)) << earlier;
+    // A random probe, almost surely absent.
+    const Value probe = static_cast<Value>(rng.Next());
+    auto ref_it = reference.find(probe);
+    ASSERT_EQ(dict.CodeOf(probe), ref_it == reference.end()
+                                      ? ValueDictionary::kNoCode
+                                      : ref_it->second);
+  }
+  // ~10^4 distinct values: the 16-slot table doubled about ten times.
+  EXPECT_GT(reference.size(), 8000u);
+  for (const auto& [v, code] : reference) {
+    EXPECT_EQ(dict.CodeOf(v), code);
+    EXPECT_EQ(dict.ValueOf(code), v);
+  }
 }
 
 // --- ColumnStore round trips ----------------------------------------------
@@ -117,18 +185,38 @@ TEST(ColumnStoreTest, FlatAppendMatchesTupleAppend) {
   }
 }
 
-TEST(ColumnStoreTest, AppendFromCrossesDictionaries) {
-  // The source's codes mean nothing to the target: AppendFrom must copy by
-  // value, re-interning into the target's own dictionary.
-  ColumnStore source(2);
-  source.Append({100, 200});
-  source.Append({300, 100});
+TEST(ColumnStoreTest, AppendRowsMergesSpansInOrderIntoItsOwnDictionary) {
+  // Two borrowed spans (as the pooled merge hands them over): rows land in
+  // span order, duplicates within and across spans and against existing
+  // rows collapse to the first occurrence, values intern into the target's
+  // own dictionary, and the added rows seal exactly one segment.
   ColumnStore target(2);
   target.Append({999, 100});  // pre-seeds a different code assignment
-  EXPECT_EQ(target.AppendFrom(source), 2u);
-  ASSERT_EQ(target.size(), 3u);
+  const std::vector<Value> first = {100, 200, 300, 100, 100, 200};
+  const std::vector<Value> second = {999, 100, 7, 8, 300, 100};
+  const ColumnStore::RowSpan spans[] = {{first.data(), 3},
+                                        {second.data(), 3}};
+  EXPECT_EQ(target.AppendRows(spans, 2), 3u);
+  ASSERT_EQ(target.size(), 4u);
   EXPECT_EQ(target.Row(1), (Tuple{100, 200}));
   EXPECT_EQ(target.Row(2), (Tuple{300, 100}));
+  EXPECT_EQ(target.Row(3), (Tuple{7, 8}));
+  EXPECT_EQ(target.dict().CodeOf(100), 1u);  // minted by the first Append
+  ASSERT_EQ(target.segments().size(), 2u);
+  EXPECT_EQ(target.segments()[1].begin, 1u);
+  EXPECT_EQ(target.segments()[1].end, 4u);
+  // No spans, or only empty ones, add nothing and seal nothing.
+  EXPECT_EQ(target.AppendRows(nullptr, 0), 0u);
+  const ColumnStore::RowSpan empty{first.data(), 0};
+  EXPECT_EQ(target.AppendRows(&empty, 1), 0u);
+  EXPECT_EQ(target.segments().size(), 2u);
+
+  // Nullary: rows carry no values, so the door never reads the pointer and
+  // any number of rows collapses to the one empty tuple.
+  ColumnStore nullary(0);
+  const ColumnStore::RowSpan empty_rows{nullptr, 5};
+  EXPECT_EQ(nullary.AppendRows(&empty_rows, 1), 1u);
+  EXPECT_EQ(nullary.size(), 1u);
 }
 
 TEST(ColumnStoreTest, EraseTombstonesWithoutMovingRows) {
@@ -346,16 +434,20 @@ TEST(RelationJournalTest, CompactionIsAStructuralBreakForDeltas) {
   EXPECT_TRUE(ds.removed_rows.empty());
 }
 
-TEST(RelationJournalTest, FlatAndFromInsertsMatchTupleInserts) {
+TEST(RelationJournalTest, FlatAndRowInsertsMatchTupleInserts) {
   Relation flat("F", 2);
   EXPECT_EQ(flat.InsertFlat({1, 2, 3, 4, 1, 2}, 3), 2u);
   EXPECT_EQ(flat.generation(), 2u);
 
-  Relation from("G", 2);
-  from.Insert({3, 4});
-  EXPECT_EQ(from.InsertFrom(flat), 1u);  // {3,4} already present
-  ASSERT_EQ(from.size(), 2u);
-  EXPECT_EQ(from.store().Row(1), (Tuple{1, 2}));
+  // The generation advances by the rows actually added, in one bump.
+  Relation rows("G", 2);
+  rows.Insert({3, 4});
+  const std::vector<Value> values = {1, 2, 3, 4};
+  const ColumnStore::RowSpan span{values.data(), 2};
+  EXPECT_EQ(rows.InsertRows(&span, 1), 1u);  // {3,4} already present
+  EXPECT_EQ(rows.generation(), 2u);
+  ASSERT_EQ(rows.size(), 2u);
+  EXPECT_EQ(rows.store().Row(1), (Tuple{1, 2}));
 }
 
 TEST(RelationJournalTest, MaterializingAccessorMatchesStoreRows) {

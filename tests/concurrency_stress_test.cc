@@ -26,6 +26,7 @@
 
 #include "cq/parser.h"
 #include "cq/random_query.h"
+#include "eval_stats_testing.h"
 #include "relation/eval_context.h"
 #include "relation/evaluate.h"
 #include "relation/generator.h"
@@ -161,6 +162,37 @@ TEST(ParallelGenericJoinTest, FallsBackWhenPoolIsNullOrEmpty) {
   ASSERT_TRUE(r2.ok());
   EXPECT_EQ(stats.parallel_workers, 0u);
   ExpectSameRelation(*r1, *r2, "null pool vs empty pool");
+}
+
+TEST(ConcurrencyStressTest, PooledFallbackCountsExactlyLikeSerial) {
+  // One depth-0 match (X = 0) is too few to split: the pooled call falls
+  // back to the serial search, and must then account for nothing the
+  // serial call does not -- in particular not the depth-0 seeks spent
+  // collecting the matches it declined to partition.
+  auto q = ParseQuery("Q(X,Y) :- R(X,Y), S(Y,X).");
+  ASSERT_TRUE(q.ok());
+  Database db;
+  Relation* r = db.AddRelation("R", 2);
+  Relation* s = db.AddRelation("S", 2);
+  for (int y = 0; y < 5; ++y) {
+    r->Insert({0, y});
+    s->Insert({y, 0});
+  }
+  ThreadPool pool(3);
+  EvalContext serial_ctx(db);
+  EvalStats serial_stats;
+  auto serial = EvaluateQuery(*q, db, PlanKind::kGenericJoin, &serial_ctx,
+                              nullptr, &serial_stats);
+  EvalContext pooled_ctx(db);
+  EvalStats pooled_stats;
+  auto pooled = EvaluateQuery(*q, db, PlanKind::kGenericJoin, &pooled_ctx,
+                              &pool, &pooled_stats);
+  ASSERT_TRUE(serial.ok());
+  ASSERT_TRUE(pooled.ok());
+  EXPECT_EQ(serial_stats.intersection_seeks, 12u);
+  EXPECT_EQ(pooled_stats.parallel_workers, 0u);
+  EXPECT_EQ(pooled->tuples(), serial->tuples());
+  testutil::ExpectSameStats(pooled_stats, serial_stats, "pooled fallback");
 }
 
 TEST(ParallelGenericJoinTest, BooleanHeadStaysSerial) {

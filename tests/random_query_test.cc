@@ -1,12 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "core/size_bounds.h"
 #include "cq/chase.h"
 #include "cq/random_query.h"
+#include "eval_stats_testing.h"
 #include "relation/evaluate.h"
 #include "relation/generator.h"
+#include "util/thread_pool.h"
 
 namespace cqbounds {
 namespace {
@@ -94,37 +97,6 @@ TEST_P(GrandPropertyTest, BoundsAndChaseHoldOnRandomInstances) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, GrandPropertyTest, ::testing::Range(1, 15));
 
-void ExpectSameStats(const EvalStats& a, const EvalStats& b,
-                     const std::string& context) {
-  EXPECT_EQ(a.max_intermediate, b.max_intermediate) << context;
-  EXPECT_EQ(a.total_intermediate, b.total_intermediate) << context;
-  EXPECT_EQ(a.output_size, b.output_size) << context;
-  EXPECT_EQ(a.intermediate_sizes, b.intermediate_sizes) << context;
-  EXPECT_EQ(a.indexed_tuples, b.indexed_tuples) << context;
-  EXPECT_EQ(a.intersection_seeks, b.intersection_seeks) << context;
-  EXPECT_EQ(a.trie_cache_hits, b.trie_cache_hits) << context;
-  EXPECT_EQ(a.trie_cache_misses, b.trie_cache_misses) << context;
-  EXPECT_EQ(a.plan_cache_hits, b.plan_cache_hits) << context;
-  EXPECT_EQ(a.plan_cache_misses, b.plan_cache_misses) << context;
-  EXPECT_EQ(a.treewidth_probe_runs, b.treewidth_probe_runs) << context;
-  EXPECT_EQ(a.semijoin_dropped_tuples, b.semijoin_dropped_tuples) << context;
-  EXPECT_EQ(a.semijoin_pass_ran, b.semijoin_pass_ran) << context;
-  EXPECT_EQ(a.semijoin_pass_skipped, b.semijoin_pass_skipped) << context;
-  EXPECT_EQ(a.trie_patches, b.trie_patches) << context;
-  EXPECT_EQ(a.trie_unpatches, b.trie_unpatches) << context;
-  EXPECT_EQ(a.trie_rebuilds, b.trie_rebuilds) << context;
-  EXPECT_EQ(a.survivor_view_hits, b.survivor_view_hits) << context;
-  EXPECT_EQ(a.delta_tuples_processed, b.delta_tuples_processed) << context;
-  EXPECT_EQ(a.semijoin_delta_pass, b.semijoin_delta_pass) << context;
-  EXPECT_EQ(a.semijoin_revived_tuples, b.semijoin_revived_tuples) << context;
-  EXPECT_EQ(a.semijoin_killed_tuples, b.semijoin_killed_tuples) << context;
-  EXPECT_EQ(a.semijoin_dangling_tuples, b.semijoin_dangling_tuples)
-      << context;
-  EXPECT_EQ(a.projection_subtrees_skipped, b.projection_subtrees_skipped)
-      << context;
-  EXPECT_EQ(a.parallel_workers, b.parallel_workers) << context;
-}
-
 // Over the grand sweep's population, a context-free evaluation is exactly a
 // fresh-context evaluation: same rows in the same order and every counter
 // equal -- including trie_rebuilds (each cold build is a rebuild) and the
@@ -159,12 +131,65 @@ TEST_P(ContextFreeTest, EqualsAFreshContextOnRandomInstances) {
       ASSERT_TRUE(free_run.ok()) << context;
       ASSERT_TRUE(fresh_run.ok()) << context;
       EXPECT_EQ(free_run->tuples(), fresh_run->tuples()) << context;
-      ExpectSameStats(free_stats, fresh_stats, context);
+      testutil::ExpectSameStats(free_stats, fresh_stats, context);
     }
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ContextFreeTest, ::testing::Range(1, 15));
+
+// Over the same population (projecting heads included), a pooled
+// evaluation equals the serial one row for row, in order: the parallel
+// merge ingests each depth-0 match's rows in match order, the order the
+// serial search visits them, so first-occurrence dedup keeps the same
+// rows whichever worker claimed which match. Per-depth binding counts
+// agree too (seeks do not: workers re-locate each claimed match).
+class PooledRowOrderTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(PooledRowOrderTest, PooledEqualsSerialRowForRow) {
+  Rng rng(GetParam() * 1009 + 13);
+  ThreadPool pool(3);
+  std::size_t fanned_out = 0;
+  for (int trial = 0; trial < 12; ++trial) {
+    RandomQueryOptions options;
+    options.num_variables = 2 + static_cast<int>(rng.NextBelow(4));
+    options.num_atoms = 1 + static_cast<int>(rng.NextBelow(3));
+    options.key_percent = 50;
+    options.random_projection = true;
+    Query q = RandomQuery(options, &rng);
+    RandomDatabaseOptions db_opts;
+    db_opts.seed = rng.Next();
+    db_opts.tuples_per_relation = 20;
+    db_opts.domain_size = 4;
+    Database db = RandomDatabase(q, db_opts);
+
+    for (PlanKind kind :
+         {PlanKind::kGenericJoin, PlanKind::kHybridYannakakis}) {
+      const std::string context =
+          q.ToString() + " plan " + PlanKindName(kind);
+      EvalContext serial_ctx(db);
+      EvalStats serial_stats;
+      auto serial = EvaluateQuery(q, db, kind, &serial_ctx, nullptr,
+                                  &serial_stats);
+      EvalContext pooled_ctx(db);
+      EvalStats pooled_stats;
+      auto pooled = EvaluateQuery(q, db, kind, &pooled_ctx, &pool,
+                                  &pooled_stats);
+      ASSERT_TRUE(serial.ok()) << context;
+      ASSERT_TRUE(pooled.ok()) << context;
+      const std::vector<Tuple> serial_rows = serial->tuples();
+      EXPECT_EQ(pooled->tuples(), serial_rows) << context;
+      EXPECT_EQ(pooled_stats.intermediate_sizes,
+                serial_stats.intermediate_sizes)
+          << context;
+      if (pooled_stats.parallel_workers > 0) ++fanned_out;
+    }
+  }
+  // The property is vacuous unless the pool actually engaged.
+  EXPECT_GT(fanned_out, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, PooledRowOrderTest, ::testing::Range(1, 15));
 
 }  // namespace
 }  // namespace cqbounds
