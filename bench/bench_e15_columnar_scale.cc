@@ -20,17 +20,23 @@
 //      10^6 bindings through a warm context (cache hits, zero rebuilds).
 //
 // Wall times live in the timed sections: per-tuple insert loop vs one
-// InsertFlat call at 10^6, the 10^6-row radix build, and the warm join.
+// InsertFlat call at 10^6, the 10^6-row radix build, the warm join, and
+// the text layer -- reading and writing a ~3x10^5-tuple database in the
+// plain-text format (relation/text_io.h).
 
 #include <cstddef>
+#include <cstdint>
 #include <iostream>
+#include <string>
 #include <vector>
 
 #include "bench/bench_util.h"
 #include "cq/parser.h"
 #include "relation/eval_context.h"
 #include "relation/evaluate.h"
+#include "relation/text_io.h"
 #include "relation/trie_index.h"
+#include "util/rng.h"
 
 namespace cqbounds {
 namespace {
@@ -75,6 +81,39 @@ Query& ChainQ() {
 EvalContext& ChainCtx() {
   static EvalContext ctx(ChainDb());
   return ctx;
+}
+
+/// A seeded ~3x10^5-tuple database with the spelling mix of a loaded
+/// graph file: four binary relations over decimal vertex labels (1-5
+/// digits, ~8x10^4 distinct spellings), tuples in seeded order.
+Database& Text300kDb() {
+  static Database db = [] {
+    Database d;
+    Rng rng(15);
+    const auto fill = [&](const char* name, std::size_t rows,
+                          std::uint64_t first_base, std::uint64_t domain) {
+      std::vector<Value> flat;
+      flat.reserve(2 * rows);
+      for (std::size_t i = 0; i < rows; ++i) {
+        for (std::uint64_t base : {first_base, std::uint64_t{0}}) {
+          flat.push_back(d.value_pool()->Intern(
+              std::to_string(base + rng.NextBelow(domain))));
+        }
+      }
+      d.AddRelation(name, 2)->InsertFlat(flat, rows);
+    };
+    fill("E", 100000, 0, 25000);
+    fill("R", 80000, 0, 40000);
+    fill("S", 80000, 40000, 40000);
+    fill("P", 27000, 0, 30000);
+    return d;
+  }();
+  return db;
+}
+const std::string& Text300k() {
+  static const std::string text =
+      WriteDatabaseTextToString(Text300kDb()).ValueOrDie();
+  return text;
 }
 
 void PrintTables() {
@@ -191,6 +230,10 @@ void PrintTables() {
                "materialization tripwire at\nzero, and the warm join serves "
                "both layouts from cache with the exact\n10^6-binding "
                "output.\n\n";
+
+  // Build the text fixtures here, so the text300k timers time only the
+  // read and the write.
+  (void)Text300k();
 }
 
 // Per-tuple insert loop vs one flat batch, both ingesting the same 10^6
@@ -221,6 +264,20 @@ CQB_BENCH_TIMED("chain1M/warm-join", [] {
   EvaluateQuery(ChainQ(), ChainDb(), PlanKind::kGenericJoin, &ChainCtx(),
                 nullptr)
       .ValueOrDie();
+})
+
+// The text layer over the ~3x10^5-tuple instance: parse into a fresh
+// database (tokenize, intern every spelling, one InsertFlat per relation),
+// and render it back.
+CQB_BENCH_TIMED("text300k/read", [] {
+  Database db;
+  CQB_CHECK(ReadDatabaseTextFromString(Text300k(), &db).ok());
+  CQB_CHECK(db.value_pool()->size() == Text300kDb().value_pool()->size());
+})
+
+CQB_BENCH_TIMED("text300k/write", [] {
+  CQB_CHECK(WriteDatabaseTextToString(Text300kDb()).ValueOrDie().size() ==
+            Text300k().size());
 })
 
 void BM_ColumnarIngest(benchmark::State& state) {

@@ -1,21 +1,96 @@
 #include "relation/database.h"
 
+#include <cstring>
+
 namespace cqbounds {
 
-Value ValuePool::Intern(const std::string& spelling) {
-  auto it = ids_.find(spelling);
-  if (it != ids_.end()) return it->second;
-  Value id = static_cast<Value>(spellings_.size());
-  ids_.emplace(spelling, id);
-  spellings_.push_back(spelling);
-  return id;
+namespace {
+
+/// 64-bit hash of a spelling, built for short tokens (text values are
+/// mostly short decimal runs). The length is mixed in first, so spellings
+/// that differ only in trailing NULs differ. Up to 8 bytes are read as at
+/// most two overlapping fixed-size loads and go straight to the SplitMix64
+/// finalizer; a longer spelling folds in 8-byte words by multiply and
+/// xor-shift and ends on an overlapping load of its last 8 bytes. The
+/// finalizer makes the slot's low bits depend on every byte.
+std::uint64_t HashSpelling(std::string_view s) {
+  constexpr std::uint64_t kMul = 0x9e3779b97f4a7c15ull;
+  const char* p = s.data();
+  std::size_t n = s.size();
+  std::uint64_t h = static_cast<std::uint64_t>(n) * kMul;
+  std::uint64_t word = 0;
+  if (n >= 4 && n <= 8) {
+    std::uint32_t lo;
+    std::uint32_t hi;
+    std::memcpy(&lo, p, 4);
+    std::memcpy(&hi, p + n - 4, 4);
+    word = (std::uint64_t{lo} << 32) | hi;
+  } else if (n > 0 && n < 4) {
+    const auto byte = [p](std::size_t i) {
+      return std::uint64_t{static_cast<unsigned char>(p[i])};
+    };
+    word = (byte(0) << 16) | (byte(n >> 1) << 8) | byte(n - 1);
+  } else if (n > 8) {
+    for (; n > 8; p += 8, n -= 8) {
+      std::memcpy(&word, p, 8);
+      h = (h ^ word) * kMul;
+      h ^= h >> 32;
+    }
+    std::memcpy(&word, p + n - 8, 8);
+  }
+  h ^= word;
+  h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9ull;
+  h = (h ^ (h >> 27)) * 0x94d049bb133111ebull;
+  return h ^ (h >> 31);
+}
+
+}  // namespace
+
+std::size_t ValuePool::ProbeSlot(std::string_view spelling,
+                                 std::uint64_t hash) const {
+  const std::size_t mask = slots_.size() - 1;
+  std::size_t slot = static_cast<std::size_t>(hash) & mask;
+  for (;; slot = (slot + 1) & mask) {
+    const std::uint32_t id = slots_[slot];
+    if (id == kNoId) return slot;
+    if (hashes_[id] == hash &&
+        SpellingView(static_cast<Value>(id)) == spelling) {
+      return slot;
+    }
+  }
+}
+
+void ValuePool::Grow() {
+  slots_.assign(slots_.empty() ? 16 : slots_.size() * 2, kNoId);
+  const std::size_t mask = slots_.size() - 1;
+  for (std::size_t id = 0; id < hashes_.size(); ++id) {
+    // Interned spellings are distinct: probe straight to the first free slot.
+    std::size_t slot = static_cast<std::size_t>(hashes_[id]) & mask;
+    while (slots_[slot] != kNoId) slot = (slot + 1) & mask;
+    slots_[slot] = static_cast<std::uint32_t>(id);
+  }
+}
+
+Value ValuePool::Intern(std::string_view spelling) {
+  // Keep load factor under 1/2, counting the spelling about to be minted.
+  if ((size() + 1) * 2 > slots_.size()) Grow();
+  const std::uint64_t hash = HashSpelling(spelling);
+  const std::size_t slot = ProbeSlot(spelling, hash);
+  if (slots_[slot] != kNoId) return static_cast<Value>(slots_[slot]);
+  CQB_CHECK(size() < kNoId);
+  const auto id = static_cast<std::uint32_t>(size());
+  slots_[slot] = id;
+  arena_.append(spelling);
+  offsets_.push_back(arena_.size());
+  hashes_.push_back(hash);
+  return static_cast<Value>(id);
 }
 
 std::string ValuePool::Spelling(Value id) const {
-  if (id < 0 || id >= static_cast<Value>(spellings_.size())) {
+  if (id < 0 || id >= static_cast<Value>(size())) {
     return "?" + std::to_string(id);
   }
-  return spellings_[static_cast<std::size_t>(id)];
+  return std::string(SpellingView(id));
 }
 
 Relation* Database::AddRelation(const std::string& name, int arity) {

@@ -1,8 +1,11 @@
 #ifndef CQBOUNDS_RELATION_DATABASE_H_
 #define CQBOUNDS_RELATION_DATABASE_H_
 
+#include <cstddef>
+#include <cstdint>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "cq/query.h"
@@ -13,18 +16,55 @@ namespace cqbounds {
 
 /// Interns arbitrary string spellings as Value ids. Used by generators whose
 /// natural value space is structured (e.g. the color-index vectors of the
-/// Proposition 4.5 product construction, or Shamir shares tagged by group).
+/// Proposition 4.5 product construction, or Shamir shares tagged by group),
+/// and by the text reader, which interns every token it parses.
+///
+/// Ids are dense and minted in first-seen order. The spellings live
+/// back to back in one byte arena: id i spans [offsets_[i], offsets_[i+1]).
+/// The spelling -> id map is the scheme of ValueDictionary and ColumnStore's
+/// row index -- an open-addressing table of u32 ids (power-of-two slots,
+/// load factor < 1/2, linear probing) -- with each id's 64-bit hash cached,
+/// so a probe compares hashes before bytes and growth never re-hashes a
+/// spelling. Per spelling that is its bytes plus 16 bytes of offset and
+/// hash plus 8-16 bytes of slots, and no per-spelling heap node.
 class ValuePool {
  public:
-  /// Returns the id of `spelling`, interning it on first use.
-  Value Intern(const std::string& spelling);
+  /// Returns the id of `spelling`, interning it on first use. Accepts
+  /// std::string, const char* and std::string_view alike; the bytes are
+  /// copied, so `spelling` need not outlive the call.
+  Value Intern(std::string_view spelling);
   /// Reverse lookup; returns "?<id>" if the id was never interned.
   std::string Spelling(Value id) const;
-  std::size_t size() const { return spellings_.size(); }
+  /// The interned bytes of `id`, valid until the next Intern. Requires
+  /// 0 <= id < size().
+  std::string_view SpellingView(Value id) const {
+    CQB_CHECK(id >= 0 && static_cast<std::size_t>(id) < size());
+    const auto i = static_cast<std::size_t>(id);
+    return std::string_view(arena_).substr(offsets_[i],
+                                           offsets_[i + 1] - offsets_[i]);
+  }
+  std::size_t size() const { return hashes_.size(); }
 
  private:
-  std::map<std::string, Value> ids_;
-  std::vector<std::string> spellings_;
+  /// Free-slot sentinel, and the bound on the id space: a pool holds fewer
+  /// than 2^32 - 1 spellings.
+  static constexpr std::uint32_t kNoId = 0xFFFFFFFFu;
+
+  /// Slot holding `spelling`'s id, or the free slot where it would go.
+  /// Requires a non-empty slot table.
+  std::size_t ProbeSlot(std::string_view spelling, std::uint64_t hash) const;
+  /// Doubles the slot table (16 slots at first) and re-inserts every id
+  /// by its cached hash.
+  void Grow();
+
+  /// Every spelling, concatenated in id order.
+  std::string arena_;
+  /// size() + 1 entries: id i's spelling starts at offsets_[i].
+  std::vector<std::size_t> offsets_{0};
+  /// Cached hash of each id's spelling.
+  std::vector<std::uint64_t> hashes_;
+  /// Open-addressing index: slot -> id, kNoId when free.
+  std::vector<std::uint32_t> slots_;
 };
 
 /// A database instance D = (U_D, R_1, ..., R_n): named relations over a

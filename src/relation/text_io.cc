@@ -1,47 +1,63 @@
 #include "relation/text_io.h"
 
-#include <cctype>
+#include <array>
 #include <charconv>
 #include <cstring>
-#include <iterator>
+#include <istream>
 #include <map>
-#include <sstream>
+#include <ostream>
+#include <string_view>
 #include <vector>
 
 namespace cqbounds {
 
 namespace {
 
-/// Characters that would corrupt the line-oriented format if written
-/// verbatim inside a token: the tokenizer's separators (whitespace), the
-/// comment introducer, the escape character itself, and control characters
-/// (which survive a write but make the file hostile to every other tool).
+/// Bytes that would corrupt the line-oriented format if written verbatim
+/// inside a token: the tokenizer's separators (whitespace), the comment
+/// introducer, the escape character itself, and control characters (which
+/// survive a write but make the file hostile to every other tool). The
+/// classes are the C locale's isspace/iscntrl, fixed in a table so the
+/// writer's inner loop is one load per byte.
+constexpr std::array<bool, 256> kNeedsEscape = [] {
+  std::array<bool, 256> table{};
+  for (int c = 0; c < 0x20; ++c) table[static_cast<std::size_t>(c)] = true;
+  table[0x7F] = true;
+  for (unsigned char c : {' ', '#', '%'}) table[c] = true;
+  return table;
+}();
+
 bool NeedsEscape(char c) {
-  const unsigned char u = static_cast<unsigned char>(c);
-  return c == '%' || c == '#' || std::isspace(u) || std::iscntrl(u);
+  return kNeedsEscape[static_cast<unsigned char>(c)];
 }
 
-/// Percent-encodes `spelling` so it survives as one whitespace-delimited
-/// token: unsafe bytes become %XX (uppercase hex), and the empty spelling
-/// -- which would otherwise vanish between separators -- becomes the bare
-/// token "%". Safe spellings pass through unchanged, so files of ordinary
-/// integer values look exactly as before.
-std::string EscapeToken(const std::string& spelling) {
-  if (spelling.empty()) return "%";
-  static const char kHex[] = "0123456789ABCDEF";
-  std::string out;
-  out.reserve(spelling.size());
-  for (char c : spelling) {
-    if (NeedsEscape(c)) {
-      const unsigned char u = static_cast<unsigned char>(c);
-      out += '%';
-      out += kHex[u >> 4];
-      out += kHex[u & 0xF];
-    } else {
-      out += c;
-    }
+/// Appends `spelling` percent-encoded so it survives as one
+/// whitespace-delimited token: unsafe bytes become %XX (uppercase hex), and
+/// the empty spelling -- which would otherwise vanish between separators --
+/// becomes the bare token "%". Runs of safe bytes are appended as they are,
+/// so a spelling with nothing to escape is one append and ordinary integer
+/// values appear in the file verbatim.
+void AppendEscaped(std::string_view spelling, std::string* out) {
+  if (spelling.empty()) {
+    out->push_back('%');
+    return;
   }
-  return out;
+  static const char kHex[] = "0123456789ABCDEF";
+  std::size_t run = 0;  // start of the pending run of safe bytes
+  for (std::size_t i = 0; i < spelling.size(); ++i) {
+    if (!NeedsEscape(spelling[i])) continue;
+    const unsigned char u = static_cast<unsigned char>(spelling[i]);
+    out->append(spelling.data() + run, i - run);
+    out->push_back('%');
+    out->push_back(kHex[u >> 4]);
+    out->push_back(kHex[u & 0xF]);
+    run = i + 1;
+  }
+  out->append(spelling.data() + run, spelling.size() - run);
+}
+
+std::string LinePrefix(int line_number) {
+  return "line " + std::to_string(line_number) + ": ";
 }
 
 int HexDigit(char c) {
@@ -51,46 +67,36 @@ int HexDigit(char c) {
   return -1;
 }
 
-/// Inverse of EscapeToken over a buffer slice, decoding into the caller's
-/// reused scratch string (the streamed reader parses 10^5+ tokens; a fresh
-/// std::string per token would dominate the parse). Escape-free tokens --
-/// the overwhelmingly common case for ordinary integer values -- take a
-/// single assign. A malformed escape (stray '%' not followed by two hex
-/// digits) is a parse error, not silently passed through -- a file
+/// Inverse of AppendEscaped for a token that contains a '%', decoding into
+/// the caller's reused scratch string (escape-free tokens never come here:
+/// the reader interns them straight from its buffer). The bare token "%"
+/// is the empty spelling. A malformed escape (stray '%' not followed by two
+/// hex digits) is a parse error, not silently passed through -- a file
 /// containing one was not produced by WriteDatabaseText and guessing at
 /// its intent would corrupt the value space silently.
-Status UnescapeTokenInto(const char* tok, const char* end, int line_number,
+Status UnescapeTokenInto(std::string_view tok, int line_number,
                          std::string* out) {
-  if (end - tok == 1 && *tok == '%') {
-    out->clear();
-    return Status::OK();
-  }
-  const char* pct = static_cast<const char*>(
-      std::memchr(tok, '%', static_cast<std::size_t>(end - tok)));
-  if (pct == nullptr) {
-    out->assign(tok, static_cast<std::size_t>(end - tok));
-    return Status::OK();
-  }
   out->clear();
-  for (const char* c = tok; c < end; ++c) {
-    if (*c != '%') {
-      *out += *c;
+  if (tok == "%") return Status::OK();
+  for (std::size_t i = 0; i < tok.size(); ++i) {
+    if (tok[i] != '%') {
+      out->push_back(tok[i]);
       continue;
     }
-    if (c + 2 >= end) {
-      return Status::ParseError("line " + std::to_string(line_number) +
-                                ": truncated %XX escape in token '" +
-                                std::string(tok, end) + "'");
+    if (i + 2 >= tok.size()) {
+      return Status::ParseError(LinePrefix(line_number) +
+                                "truncated %XX escape in token '" +
+                                std::string(tok) + "'");
     }
-    const int hi = HexDigit(c[1]);
-    const int lo = HexDigit(c[2]);
+    const int hi = HexDigit(tok[i + 1]);
+    const int lo = HexDigit(tok[i + 2]);
     if (hi < 0 || lo < 0) {
-      return Status::ParseError("line " + std::to_string(line_number) +
-                                ": invalid %XX escape in token '" +
-                                std::string(tok, end) + "'");
+      return Status::ParseError(LinePrefix(line_number) +
+                                "invalid %XX escape in token '" +
+                                std::string(tok) + "'");
     }
-    *out += static_cast<char>((hi << 4) | lo);
-    c += 2;
+    out->push_back(static_cast<char>((hi << 4) | lo));
+    i += 2;
   }
   return Status::OK();
 }
@@ -99,9 +105,18 @@ Status UnescapeTokenInto(const char* tok, const char* end, int line_number,
 /// in both the declaration line and every tuple line, so a name the
 /// tokenizer would split (whitespace), comment away ('#'), mis-decode
 /// ('%'), drop (empty) or mistake for the declaration keyword cannot be
-/// represented in the format at all. Rejecting it at write time turns a
-/// silent corrupt-on-write into a recoverable error.
-Status CheckWritableRelationName(const std::string& name) {
+/// represented in the format at all. The writer rejects such a name (a
+/// silent corrupt-on-write becomes a recoverable error), and so does the
+/// reader, so every database it accepts can be written back.
+bool IsRepresentableName(std::string_view name) {
+  if (name.empty() || name == "relation") return false;
+  for (char c : name) {
+    if (NeedsEscape(c)) return false;
+  }
+  return true;
+}
+
+Status CheckWritableRelation(const std::string& name, int arity) {
   if (name.empty()) {
     return Status::FailedPrecondition(
         "cannot write relation with empty name");
@@ -110,29 +125,31 @@ Status CheckWritableRelationName(const std::string& name) {
     return Status::FailedPrecondition(
         "cannot write relation named 'relation' (the declaration keyword)");
   }
-  for (char c : name) {
-    if (NeedsEscape(c)) {
-      return Status::FailedPrecondition(
-          "cannot write relation name '" + name +
-          "': contains whitespace, '#', '%' or control characters");
-    }
+  if (!IsRepresentableName(name)) {
+    return Status::FailedPrecondition(
+        "cannot write relation name '" + name +
+        "': contains whitespace, '#', '%' or control characters");
+  }
+  if (arity > kMaxTextArity) {
+    return Status::FailedPrecondition(
+        "cannot write relation '" + name + "' of arity " +
+        std::to_string(arity) + ": the format's limit is " +
+        std::to_string(kMaxTextArity));
   }
   return Status::OK();
 }
 
-}  // namespace
-
-Status ReadDatabaseText(std::istream& in, Database* db) {
-  // Streamed bulk ingestion. The whole input is slurped into one flat
-  // buffer and tokenized in place with pointer scans -- no per-line stream
-  // extraction and no per-token string construction (one scratch spelling
-  // is reused across all tokens; the previous getline + istringstream loop
-  // allocated several strings per line). Tuple lines are parsed into
-  // per-relation flat column builders (row-major values, one vector per
-  // relation) and flushed in one InsertFlat batch per relation at end of
-  // input -- a single dedup pass over the appended block instead of a
-  // per-tuple hash insert. Arity and escape errors still carry their line
-  // numbers (checked during the parse); on error nothing is flushed.
+/// The reader: parses `text` in place. Tokens are pointer scans over the
+/// caller's buffer (no per-line stream extraction), and an escape-free
+/// value token -- the overwhelmingly common case -- is interned straight
+/// from the buffer; only a token containing '%' is decoded, into one reused
+/// scratch string. Tuple lines are parsed into per-relation flat value
+/// buffers (row-major values, one vector per relation) and flushed in one
+/// InsertFlat batch per relation at end of input -- a single dedup pass
+/// over the appended block instead of a per-tuple hash insert. Errors carry
+/// their line numbers (checked during the parse); on error nothing is
+/// flushed.
+Status ParseDatabaseText(std::string_view text, Database* db) {
   struct PendingRows {
     Relation* rel = nullptr;
     std::vector<Value> flat;
@@ -141,16 +158,16 @@ Status ReadDatabaseText(std::istream& in, Database* db) {
   std::vector<PendingRows> pending;  // in first-tuple-seen relation order
   std::map<Relation*, std::size_t> pending_index;
 
-  const std::string buf{std::istreambuf_iterator<char>(in),
-                        std::istreambuf_iterator<char>()};
-  const char* p = buf.data();
-  const char* const buf_end = p + buf.size();
+  const char* p = text.data();
+  const char* const buf_end = p + text.size();
+  ValuePool* pool = db->value_pool();
   int line_number = 0;
   std::string scratch;
   // Tuple files cluster lines by relation, so one cached (name -> pending
   // slot) pair short-circuits nearly every map lookup. An index, not a
-  // pointer: pending reallocates as new relations appear.
-  std::string last_name;
+  // pointer: pending reallocates as new relations appear. The name is a
+  // view into `text`, which outlives the parse.
+  std::string_view last_name;
   std::size_t last_slot = static_cast<std::size_t>(-1);
 
   // '\n' terminates the line itself and cannot appear here.
@@ -172,30 +189,42 @@ Status ReadDatabaseText(std::istream& in, Database* db) {
       while (p < line_end && is_sep(*p)) ++p;
       const char* tok = p;
       while (p < line_end && !is_sep(*p)) ++p;
-      return std::pair<const char*, const char*>(tok, p);
+      return std::string_view(tok, static_cast<std::size_t>(p - tok));
     };
 
-    const auto [first, first_end] = next_token();
-    if (first == first_end) {  // blank (or comment-only) line
+    const std::string_view first = next_token();
+    if (first.empty()) {  // blank (or comment-only) line
       p = next_line;
       continue;
     }
-    const std::size_t first_len = static_cast<std::size_t>(first_end - first);
 
-    if (first_len == 8 && std::memcmp(first, "relation", 8) == 0) {
-      const auto [name, name_end] = next_token();
-      const auto [ar, ar_end] = next_token();
+    if (first == "relation") {
+      const std::string_view name = next_token();
+      const std::string_view ar = next_token();
       int arity = -1;
-      const auto parsed = std::from_chars(ar, ar_end, arity);
-      if (name == name_end || ar == ar_end || parsed.ec != std::errc() ||
-          parsed.ptr != ar_end || arity < 0) {
-        return Status::ParseError("line " + std::to_string(line_number) +
-                                  ": expected 'relation NAME ARITY'");
+      const auto parsed = std::from_chars(ar.data(), ar.data() + ar.size(),
+                                          arity);
+      if (name.empty() || ar.empty() || parsed.ec != std::errc() ||
+          parsed.ptr != ar.data() + ar.size() || arity < 0) {
+        return Status::ParseError(LinePrefix(line_number) +
+                                  "expected 'relation NAME ARITY'");
       }
-      scratch.assign(name, static_cast<std::size_t>(name_end - name));
+      if (arity > kMaxTextArity) {
+        return Status::ParseError(
+            LinePrefix(line_number) + "relation '" + std::string(name) +
+            "' declared with arity " + std::to_string(arity) +
+            " above the format's limit of " + std::to_string(kMaxTextArity));
+      }
+      if (!IsRepresentableName(name)) {
+        return Status::ParseError(
+            LinePrefix(line_number) + "relation name '" + std::string(name) +
+            "' cannot be written back: it is the declaration keyword or "
+            "contains '%' or control characters");
+      }
+      scratch.assign(name);
       if (db->AddRelation(scratch, arity) == nullptr) {
-        return Status::ParseError("line " + std::to_string(line_number) +
-                                  ": relation '" + scratch +
+        return Status::ParseError(LinePrefix(line_number) + "relation '" +
+                                  scratch +
                                   "' re-declared with different arity");
       }
       p = next_line;
@@ -203,16 +232,14 @@ Status ReadDatabaseText(std::istream& in, Database* db) {
     }
 
     std::size_t slot;
-    if (last_slot != static_cast<std::size_t>(-1) &&
-        last_name.size() == first_len &&
-        std::memcmp(last_name.data(), first, first_len) == 0) {
+    if (last_slot != static_cast<std::size_t>(-1) && last_name == first) {
       slot = last_slot;
     } else {
-      scratch.assign(first, first_len);
+      scratch.assign(first);
       Relation* rel = db->FindMutable(scratch);
       if (rel == nullptr) {
-        return Status::ParseError("line " + std::to_string(line_number) +
-                                  ": tuple for undeclared relation '" +
+        return Status::ParseError(LinePrefix(line_number) +
+                                  "tuple for undeclared relation '" +
                                   scratch + "'");
       }
       const auto [it, inserted] = pending_index.emplace(rel, pending.size());
@@ -221,23 +248,26 @@ Status ReadDatabaseText(std::istream& in, Database* db) {
         pending.back().rel = rel;
       }
       slot = it->second;
-      last_name.assign(first, first_len);
+      last_name = first;
       last_slot = slot;
     }
     PendingRows& rows = pending[slot];
 
     std::size_t width = 0;
     for (;;) {
-      const auto [tok, tok_end] = next_token();
-      if (tok == tok_end) break;
-      CQB_RETURN_NOT_OK(
-          UnescapeTokenInto(tok, tok_end, line_number, &scratch));
-      rows.flat.push_back(db->value_pool()->Intern(scratch));
+      const std::string_view tok = next_token();
+      if (tok.empty()) break;
+      if (tok.find('%') == std::string_view::npos) {
+        rows.flat.push_back(pool->Intern(tok));
+      } else {
+        CQB_RETURN_NOT_OK(UnescapeTokenInto(tok, line_number, &scratch));
+        rows.flat.push_back(pool->Intern(scratch));
+      }
       ++width;
     }
     if (static_cast<int>(width) != rows.rel->arity()) {
       return Status::ParseError(
-          "line " + std::to_string(line_number) + ": tuple of arity " +
+          LinePrefix(line_number) + "tuple of arity " +
           std::to_string(width) + " for relation '" + rows.rel->name() +
           "' of arity " + std::to_string(rows.rel->arity()));
     }
@@ -250,21 +280,22 @@ Status ReadDatabaseText(std::istream& in, Database* db) {
   return Status::OK();
 }
 
-Status ReadDatabaseTextFromString(const std::string& text, Database* db) {
-  std::istringstream in(text);
-  return ReadDatabaseText(in, db);
-}
-
-Status WriteDatabaseText(const Database& db, std::ostream& out) {
+/// The writer: renders `db` into `*out`. Each value is appended from the
+/// pool's arena through AppendEscaped, with no string per value.
+Status RenderDatabaseText(const Database& db, std::string* out) {
   const ValuePool& pool = db.value_pool();
   const Value pool_size = static_cast<Value>(pool.size());
   for (const auto& [name, rel] : db.relations()) {
-    CQB_RETURN_NOT_OK(CheckWritableRelationName(name));
-    out << "relation " << name << " " << rel.arity() << "\n";
+    CQB_RETURN_NOT_OK(CheckWritableRelation(name, rel.arity()));
+    out->append("relation ");
+    out->append(name);
+    out->push_back(' ');
+    out->append(std::to_string(rel.arity()));
+    out->push_back('\n');
     const ColumnStore& store = rel.store();
     for (std::size_t row = 0; row < store.size(); ++row) {
       if (!store.IsLive(row)) continue;
-      out << name;
+      out->append(name);
       for (int c = 0; c < rel.arity(); ++c) {
         const Value v = store.ValueAt(row, c);
         if (v < 0 || v >= pool_size) {
@@ -275,18 +306,51 @@ Status WriteDatabaseText(const Database& db, std::ostream& out) {
               "relation '" + name + "' holds value id " + std::to_string(v) +
               " that was never interned in the database's pool");
         }
-        out << " " << EscapeToken(pool.Spelling(v));
+        out->push_back(' ');
+        AppendEscaped(pool.SpellingView(v), out);
       }
-      out << "\n";
+      out->push_back('\n');
     }
   }
   return Status::OK();
 }
 
+}  // namespace
+
+Status ReadDatabaseText(std::istream& in, Database* db) {
+  // One pass through the stream buffer into one string, then the same
+  // in-place parse as the string overload.
+  constexpr std::size_t kChunk = std::size_t{1} << 16;
+  std::string text;
+  if (std::streambuf* buf = in.rdbuf(); buf != nullptr) {
+    std::size_t used = 0;
+    for (;;) {
+      text.resize(used + kChunk);
+      const std::streamsize got =
+          buf->sgetn(&text[used], static_cast<std::streamsize>(kChunk));
+      if (got <= 0) break;
+      used += static_cast<std::size_t>(got);
+    }
+    text.resize(used);
+  }
+  return ParseDatabaseText(text, db);
+}
+
+Status ReadDatabaseTextFromString(const std::string& text, Database* db) {
+  return ParseDatabaseText(text, db);
+}
+
+Status WriteDatabaseText(const Database& db, std::ostream& out) {
+  std::string text;
+  CQB_RETURN_NOT_OK(RenderDatabaseText(db, &text));
+  out.write(text.data(), static_cast<std::streamsize>(text.size()));
+  return Status::OK();
+}
+
 Result<std::string> WriteDatabaseTextToString(const Database& db) {
-  std::ostringstream out;
-  CQB_RETURN_NOT_OK(WriteDatabaseText(db, out));
-  return out.str();
+  std::string text;
+  CQB_RETURN_NOT_OK(RenderDatabaseText(db, &text));
+  return text;
 }
 
 }  // namespace cqbounds

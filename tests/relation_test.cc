@@ -1,10 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+#include <string_view>
+#include <utility>
+#include <vector>
+
 #include "cq/parser.h"
 #include "relation/database.h"
 #include "relation/evaluate.h"
 #include "relation/generator.h"
 #include "relation/relation.h"
+#include "util/rng.h"
 
 namespace cqbounds {
 namespace {
@@ -194,6 +201,94 @@ TEST(ValuePoolTest, InternStable) {
   EXPECT_EQ(pool.Intern("alpha"), a);
   EXPECT_EQ(pool.Spelling(a), "alpha");
   EXPECT_EQ(pool.Spelling(999), "?999");
+}
+
+TEST(ValuePoolTest, MatchesAMapReferenceOnAdversarialSpellings) {
+  // Differential test of the open-addressing pool against the ordered map
+  // it replaced: the same Intern sequence must mint the same ids (dense,
+  // first-seen order) and every id must spell back byte-exact.
+  std::vector<std::string> spellings = {
+      "",
+      std::string("\0", 1),
+      std::string("\0\0", 2),
+      std::string("a\0", 2),
+      std::string("a\0b", 3),
+      std::string("\0a", 2),
+      "a",
+      "ab",
+      "abc",
+      "abcdefg",
+      "abcdefgh",   // exactly one 8-byte word
+      "abcdefghi",  // one word and a tail byte
+      "?0",         // looks like the fallback spelling of id 0
+      "%",
+      " ",
+  };
+  for (int c = 0; c < 256; ++c) {
+    spellings.push_back(std::string(1, static_cast<char>(c)));
+  }
+  spellings.push_back(std::string(4096, 'x'));
+  spellings.push_back(std::string(4095, 'x') + "y");
+  spellings.push_back(std::string(4096, '\0'));
+  // Decimal runs that share long prefixes and differ only in their tail.
+  for (int i = 0; i < 2000; ++i) {
+    spellings.push_back("12345678901234567890" + std::to_string(i));
+  }
+  // ~10^5 decimal spellings: the pool grows through a dozen doublings.
+  for (int i = 0; i < 100000; ++i) spellings.push_back(std::to_string(i));
+
+  // Intern every spelling twice, in a seeded order, so repeats are
+  // interleaved with first sightings across every growth.
+  std::vector<std::size_t> order;
+  for (std::size_t i = 0; i < spellings.size(); ++i) {
+    order.push_back(i);
+    order.push_back(i);
+  }
+  Rng rng(15);
+  for (std::size_t i = order.size(); i > 1; --i) {
+    std::swap(order[i - 1], order[rng.NextBelow(i)]);
+  }
+
+  ValuePool pool;
+  std::map<std::string, Value> reference;
+  std::vector<std::string> reference_spellings;
+  for (std::size_t step = 0; step < order.size(); ++step) {
+    const std::string& s = spellings[order[step]];
+    auto [it, inserted] =
+        reference.emplace(s, static_cast<Value>(reference_spellings.size()));
+    if (inserted) reference_spellings.push_back(s);
+    Value got;
+    // Every accepted argument type takes the same path.
+    switch (step % 3) {
+      case 0:
+        got = pool.Intern(s);
+        break;
+      case 1:
+        got = pool.Intern(std::string_view(s));
+        break;
+      default:
+        got = s.find('\0') == std::string::npos ? pool.Intern(s.c_str())
+                                                 : pool.Intern(s);
+        break;
+    }
+    ASSERT_EQ(got, it->second) << "step " << step;
+    ASSERT_EQ(pool.size(), reference_spellings.size()) << "step " << step;
+  }
+  // Every sighting is a repeat now; sizes do not move.
+  EXPECT_EQ(pool.Intern("abc"), reference.at("abc"));
+  EXPECT_EQ(pool.Intern(std::string_view("12345678901234567890" "7")),
+            reference.at("123456789012345678907"));
+  EXPECT_EQ(pool.size(), reference_spellings.size());
+
+  for (std::size_t id = 0; id < reference_spellings.size(); ++id) {
+    const Value v = static_cast<Value>(id);
+    ASSERT_EQ(pool.Spelling(v), reference_spellings[id]) << id;
+    ASSERT_EQ(pool.SpellingView(v), reference_spellings[id]) << id;
+  }
+  const Value size = static_cast<Value>(pool.size());
+  EXPECT_EQ(pool.Spelling(-1), "?-1");
+  EXPECT_EQ(pool.Spelling(size), "?" + std::to_string(size));
+  EXPECT_EQ(pool.Spelling(size + 1000), "?" + std::to_string(size + 1000));
 }
 
 Database CartesianExample() {
