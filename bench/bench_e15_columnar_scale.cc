@@ -170,7 +170,8 @@ void PrintTables() {
 
     // One appended row (an isolated edge: it extends no cycle path, so the
     // join table below keeps its exact output count), named by the journal
-    // and merged in by the delta constructor's O(base + k log k) merge --
+    // and spliced in by the delta constructor (O(k log n) plus one bulk
+    // copy) --
     // still zero materializations.
     CQB_CHECK(e->Insert({2000000, 2000001}));
     Relation::DeltaSet delta;

@@ -86,6 +86,21 @@ Value ValuePool::Intern(std::string_view spelling) {
   return static_cast<Value>(id);
 }
 
+void ValuePool::Truncate(std::size_t size) {
+  CQB_CHECK(size <= this->size());
+  if (size == this->size()) return;
+  arena_.resize(offsets_[size]);
+  offsets_.resize(size + 1);
+  hashes_.resize(size);
+  const std::size_t mask = slots_.size() - 1;
+  slots_.assign(slots_.size(), kNoId);
+  for (std::size_t id = 0; id < size; ++id) {
+    std::size_t slot = static_cast<std::size_t>(hashes_[id]) & mask;
+    while (slots_[slot] != kNoId) slot = (slot + 1) & mask;
+    slots_[slot] = static_cast<std::uint32_t>(id);
+  }
+}
+
 std::string ValuePool::Spelling(Value id) const {
   if (id < 0 || id >= static_cast<Value>(size())) {
     return "?" + std::to_string(id);
@@ -105,6 +120,10 @@ Relation* Database::AddRelation(const std::string& name, int arity) {
   auto [inserted, ok] = relations_.emplace(name, Relation(name, arity));
   (void)ok;
   return &inserted->second;
+}
+
+void Database::RemoveRelation(const std::string& name) {
+  relations_.erase(name);
 }
 
 const Relation* Database::Find(const std::string& name) const {

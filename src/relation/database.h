@@ -33,6 +33,11 @@ class ValuePool {
   /// std::string, const char* and std::string_view alike; the bytes are
   /// copied, so `spelling` need not outlive the call.
   Value Intern(std::string_view spelling);
+  /// Forgets every spelling with id >= `size` (requires size <= size()):
+  /// the arena is cut and the slot table rebuilt from the cached hashes,
+  /// so the next Intern of a new spelling mints id `size` again. Values
+  /// holding a forgotten id must not outlive the call.
+  void Truncate(std::size_t size);
   /// Reverse lookup; returns "?<id>" if the id was never interned.
   std::string Spelling(Value id) const;
   /// The interned bytes of `id`, valid until the next Intern. Requires
@@ -77,6 +82,10 @@ class Database {
   /// relation and its tuples are left untouched, and the caller decides
   /// whether to error (as the text reader does) or pick another name.
   Relation* AddRelation(const std::string& name, int arity);
+
+  /// Drops the relation `name` and its tuples, if present. Pointers to it
+  /// dangle afterwards, so no evaluation context may be serving it.
+  void RemoveRelation(const std::string& name);
 
   /// Returns the relation or nullptr.
   const Relation* Find(const std::string& name) const;

@@ -87,9 +87,9 @@ std::shared_ptr<const TrieIndex> EvalContext::GetTrie(
   if (stale_base != nullptr &&
       rel.DeltasSince(stale_base_generation, &deltas)) {
     // Every removed row's columns are still readable (no compaction since
-    // the snapshot): subtract the removed keys from the cached trie's
-    // support counts while merging the appended ones -- O(base + delta log
-    // delta), no full sort. A window without removals is a patch.
+    // the snapshot): splice the delta into the cached trie, subtracting the
+    // removed keys' support and adding the appended ones -- O(delta log
+    // base) work plus one bulk copy. A window without removals is a patch.
     RowView appended(&rel.store());
     appended.rows = std::move(deltas.appended_rows);
     RowView removed(&rel.store());

@@ -67,9 +67,9 @@ struct LowWidthProbe {
 /// and are refreshed (counted as a miss) when the relation mutated since.
 /// The refresh is delta-aware: whenever the journal can still name what
 /// changed since the snapshot (Relation::DeltasSince), the stale trie is
-/// *unpatched* -- the sorted appended keys are merged into the cached
-/// trie's key stream and the removed keys' support is subtracted, O(base
-/// copy + k log k) instead of a from-scratch O(n log n) sort. A window with
+/// *unpatched* -- the sorted delta keys are spliced into the cached trie's
+/// level arrays, the removed keys' support subtracted, O(k log n) work plus
+/// one bulk copy instead of a from-scratch O(n log n) sort. A window with
 /// no removed rows counts as EvalStats::trie_patches, any other as
 /// trie_unpatches. Only a hard structural break -- Clear, or a Remove that
 /// crossed the tombstone-compaction threshold -- forces the full rebuild
@@ -120,12 +120,21 @@ class EvalContext {
 
   /// Cached outcome of one semi-join reduction pass under a plan: the
   /// survivor views (per-atom survivor tries for atoms that lost tuples),
-  /// the per-step semi-join key *support counts* plus per-atom
-  /// survivor/dropped row sets (the counting delta pass's working state),
-  /// the filter schedule they are indexed by, and the generation vector
-  /// that keys it all. Maintained by the hybrid plan (relation/evaluate.cc);
-  /// every field is guarded by CachedPlan's `skip_mu`.
+  /// the per-step semi-join key *support counts* plus a per-atom drop-step
+  /// array over physical row ids (the counting delta pass's working
+  /// state), the filter schedule they are indexed by, the lazily built
+  /// per-step target-key indexes, and the generation vector that keys it
+  /// all. Maintained by the hybrid plan (relation/evaluate.cc); every field
+  /// is guarded by CachedPlan's `skip_mu`.
   struct SemijoinState {
+    /// drop_step value of a row that survived every step.
+    static constexpr std::uint32_t kNoDrop = 0xFFFFFFFFu;
+    /// drop_step value of a row outside the books: tombstoned, or failing
+    /// its atom's repeated-variable filter.
+    static constexpr std::uint32_t kOffBooks = 0xFFFFFFFEu;
+    /// End-of-chain / free-slot sentinel of KeyRows.
+    static constexpr std::uint32_t kNoRow = 0xFFFFFFFFu;
+
     /// One semi-join of the reduction schedule: filter atom `target`'s
     /// survivors to those whose shared-variable projection occurs among
     /// atom `source`'s survivors.
@@ -136,6 +145,22 @@ class EvalContext {
       std::vector<int> tgt_pos;  // target tuple positions of the shared vars
     };
 
+    /// A flat target-key -> rows index for one filter step: an
+    /// open-addressing table whose slots hold the head row of each key's
+    /// chain (power-of-two slots, load < 7/8, linear probing; a slot's key
+    /// is read off its head row's codes at the step's `tgt_pos`), and one
+    /// `next` link per physical row threading the rows that share a key.
+    /// No Tuple keys and no per-key heap vectors. Rows are never unlinked:
+    /// a tombstoned row keeps its codes until compaction -- which forces
+    /// the full pass that drops the index -- so it stays on its chain and
+    /// readers skip it by its kOffBooks drop step. Empty `slots` means not
+    /// built yet.
+    struct KeyRows {
+      std::vector<std::uint32_t> slots;  // slot -> chain head row, kNoRow
+      std::vector<std::uint32_t> next;   // row -> next row of its key
+      std::size_t keys = 0;              // occupied slots
+      int shift = 64;                    // 64 - log2(slots.size())
+    };
 
     /// Atom i's relation generation observed when this state was computed
     /// -- the survivor-view cache key. A run whose generation vector
@@ -144,7 +169,7 @@ class EvalContext {
     /// past a structural break.
     std::vector<std::uint64_t> generations;
     /// Per atom: true iff every live tuple of its relation survived the
-    /// pass (no drops on record for that atom).
+    /// pass (dangling[i] == 0).
     std::vector<bool> all_survive;
     /// Per atom with !all_survive[i]: the survivor trie (the zero-copy
     /// filtered view, already keyed by the plan's layout for that atom);
@@ -165,14 +190,23 @@ class EvalContext {
     /// and maintained by every delta pass, clean or dirty.
     std::vector<std::unordered_map<Tuple, std::uint32_t, TupleHash>>
         step_counts;
-    /// Per atom: the surviving row ids, sorted ascending. The delta pass
-    /// edits this row set in place (merge appends, drop kills) and
-    /// re-derives the survivor trie from the old one.
-    std::vector<std::vector<std::uint32_t>> survivors;
-    /// Per atom: rows the pass dropped, as (row id, first schedule step
-    /// whose key set rejected it), sorted by row id. The recorded step is
-    /// what lets a key-reappearance revive exactly the rows it dangled.
-    std::vector<std::vector<std::pair<std::uint32_t, std::uint32_t>>> dropped;
+    /// Per atom, indexed by physical row id (sized to the store as of
+    /// `generations`): the first schedule step whose key set rejected the
+    /// row, kNoDrop for a survivor, kOffBooks for a row outside the books.
+    /// The recorded step is what lets a key-reappearance revive exactly the
+    /// rows it dangled; the delta pass edits only the entries of rows whose
+    /// fate moved.
+    std::vector<std::vector<std::uint32_t>> drop_step;
+    /// Per atom: how many rows carry a drop step (the dangling census).
+    std::vector<std::size_t> dangling;
+    /// Per schedule step: the index from the step's target key to the
+    /// target rows carrying it, through which the delta pass finds the
+    /// rows a vanished key kills or a returning key revives. Built on the
+    /// first delta pass whose step sees a key vanish or return, extended by
+    /// every later delta pass's appended rows, and dropped with the whole
+    /// state by the full pass a compaction forces -- so a context that only
+    /// ever takes full passes or skips never builds one.
+    std::vector<KeyRows> key_rows;
   };
 
   /// One plan-tier entry. `probe` is filled exactly once (concurrent

@@ -805,7 +805,6 @@ struct ReductionAtom {
   int depth = 0;             // BFS depth of `bag` in the bag tree
   const ColumnStore* store = nullptr;  // backing store of the rows below
   std::vector<std::uint32_t> rows;     // surviving row ids
-  std::size_t initial = 0;   // survivor count before any semi-join
 };
 
 /// The cheap (tuple-free) part of survivor construction: variable layout
@@ -942,28 +941,30 @@ std::vector<FilterStep> BuildFilterSchedule(
   return steps;
 }
 
-/// "Never dropped" sentinel for the semi-join books: a drop step larger
-/// than any schedule index.
-constexpr std::uint32_t kNoDrop = 0xFFFFFFFFu;
+constexpr std::uint32_t kNoDrop = SemijoinState::kNoDrop;
+constexpr std::uint32_t kOffBooks = SemijoinState::kOffBooks;
+constexpr std::uint32_t kNoRow = SemijoinState::kNoRow;
 
 /// Executes `state`'s filter schedule over `atoms` (whose survivor row
-/// lists must hold every live self-consistent row, with `store` set),
-/// recording per step the source atom's semi-join key *support counts* as
-/// of that step and, per atom, the (row, first-dropping-step) events sorted
-/// by row -- exactly the books the counting delta pass adjusts later, so
-/// the key maps the pass builds anyway are persisted instead of discarded.
-/// Keys are decoded values, not codes: source and target live in different
-/// stores, so only values compare across atoms.
-void RunFullPass(std::vector<ReductionAtom>* atoms, SemijoinState* state) {
+/// lists must hold every live self-consistent row, with `store` set, and
+/// whose drop_step arrays mark exactly those rows kNoDrop), recording per
+/// step the source atom's semi-join key *support counts* as of that step
+/// and, per dropped row, its first dropping step -- exactly the books the
+/// counting delta pass adjusts later, so the key maps the pass builds
+/// anyway are persisted instead of discarded. Keys are decoded values, not
+/// codes: source and target live in different stores, so only values
+/// compare across atoms.
+void RunFullPass(std::vector<ReductionAtom>* atoms, SemijoinState* state,
+                 EvalStats* local) {
   const std::vector<FilterStep>& steps = state->schedule;
   state->step_counts.assign(steps.size(), {});
-  state->dropped.assign(atoms->size(), {});
   for (std::size_t s = 0; s < steps.size(); ++s) {
     const FilterStep& step = steps[s];
     ReductionAtom& source = (*atoms)[step.source];
     ReductionAtom& target = (*atoms)[step.target];
     std::unordered_map<Tuple, std::uint32_t, TupleHash>& keys =
         state->step_counts[s];
+    local->semijoin_rows_visited += source.rows.size() + target.rows.size();
     Tuple key(step.src_pos.size());
     for (const std::uint32_t row : source.rows) {
       for (std::size_t i = 0; i < step.src_pos.size(); ++i) {
@@ -972,6 +973,7 @@ void RunFullPass(std::vector<ReductionAtom>* atoms, SemijoinState* state) {
       ++keys[key];
     }
     if (target.rows.empty()) continue;
+    std::vector<std::uint32_t>& drops = state->drop_step[step.target];
     std::vector<std::uint32_t> kept;
     kept.reserve(target.rows.size());
     for (const std::uint32_t row : target.rows) {
@@ -981,14 +983,140 @@ void RunFullPass(std::vector<ReductionAtom>* atoms, SemijoinState* state) {
       if (keys.count(key)) {
         kept.push_back(row);
       } else {
-        state->dropped[step.target].emplace_back(
-            row, static_cast<std::uint32_t>(s));
+        drops[row] = static_cast<std::uint32_t>(s);
+        ++state->dangling[step.target];
       }
     }
     target.rows = std::move(kept);
   }
-  for (auto& d : state->dropped) std::sort(d.begin(), d.end());
 }
+
+/// Grows `v` to `n` entries, new ones `fill`. The books grow by one window
+/// at a time for a whole compaction epoch, so an eighth of headroom is
+/// reserved instead of the vector's usual doubling, which would hold up to
+/// twice the rows in memory.
+void GrowBook(std::vector<std::uint32_t>* v, std::size_t n,
+              std::uint32_t fill) {
+  if (n > v->capacity()) v->reserve(n + n / 8);
+  v->resize(n, fill);
+}
+
+/// One filter step's KeyRows (eval_context.h) over the target atom's
+/// store: builds, extends and probes the flat target-key -> rows index.
+/// Slots hash the key's target-store codes (one dictionary per store, so
+/// code equality is value equality); a lookup by decoded values first maps
+/// each value to its target code, and a value the target never interned
+/// names no row at all.
+class KeyRowsIndex {
+ public:
+  KeyRowsIndex(SemijoinState::KeyRows* index, const ColumnStore& store,
+               const std::vector<int>& positions)
+      : index_(index),
+        store_(store),
+        positions_(positions),
+        codes_(positions.size()) {}
+
+  bool built() const { return !index_->slots.empty(); }
+
+  /// Links every in-books row of `drops` (one entry per physical row).
+  /// Returns the number of rows scanned.
+  std::size_t Build(const std::vector<std::uint32_t>& drops) {
+    Grow();
+    return Extend(drops);
+  }
+
+  /// Links the in-books rows past the ones already covered, up to
+  /// drops.size(). Returns the number of rows scanned.
+  std::size_t Extend(const std::vector<std::uint32_t>& drops) {
+    const std::size_t first = index_->next.size();
+    GrowBook(&index_->next, drops.size(), kNoRow);
+    for (std::size_t row = first; row < drops.size(); ++row) {
+      if (drops[row] != kOffBooks) Link(static_cast<std::uint32_t>(row));
+    }
+    return drops.size() - first;
+  }
+
+  /// Calls `visit(row)` for every row on the chain of the key spelled by
+  /// `values` (the step's target positions, decoded).
+  template <typename Visit>
+  void ForEachRow(const Tuple& values, Visit&& visit) {
+    for (std::size_t i = 0; i < values.size(); ++i) {
+      codes_[i] = store_.dict().CodeOf(values[i]);
+      if (codes_[i] == ValueDictionary::kNoCode) return;
+    }
+    for (std::uint32_t row = index_->slots[Probe()]; row != kNoRow;
+         row = index_->next[row]) {
+      visit(row);
+    }
+  }
+
+ private:
+  std::size_t SlotOf(const std::uint32_t* codes) const {
+    std::uint64_t h = 0;
+    for (std::size_t i = 0; i < positions_.size(); ++i) {
+      h = (h ^ codes[i]) * 0x9e3779b97f4a7c15ull;
+    }
+    return static_cast<std::size_t>(h >> index_->shift);
+  }
+
+  /// Slot whose chain carries `codes_`, or the free slot where it would go.
+  std::size_t Probe() const {
+    const std::size_t mask = index_->slots.size() - 1;
+    std::size_t slot = SlotOf(codes_.data());
+    for (;; slot = (slot + 1) & mask) {
+      const std::uint32_t head = index_->slots[slot];
+      if (head == kNoRow) return slot;
+      bool same = true;
+      for (std::size_t i = 0; i < positions_.size() && same; ++i) {
+        same = store_.CodeAt(head, positions_[i]) == codes_[i];
+      }
+      if (same) return slot;
+    }
+  }
+
+  void ReadCodes(std::uint32_t row, std::uint32_t* codes) const {
+    for (std::size_t i = 0; i < positions_.size(); ++i) {
+      codes[i] = store_.CodeAt(row, positions_[i]);
+    }
+  }
+
+  void Link(std::uint32_t row) {
+    // Load up to 7/8: lookups are rare (one per key transition), and the
+    // table is held for a whole compaction epoch.
+    if ((index_->keys + 1) * 8 > index_->slots.size() * 7) Grow();
+    ReadCodes(row, codes_.data());
+    const std::size_t slot = Probe();
+    if (index_->slots[slot] == kNoRow) ++index_->keys;
+    index_->next[row] = index_->slots[slot];
+    index_->slots[slot] = row;
+  }
+
+  /// Doubles the slot table (16 slots at first) and re-seats every chain
+  /// by its head row's codes.
+  void Grow() {
+    std::vector<std::uint32_t> old = std::move(index_->slots);
+    index_->slots.assign(old.empty() ? 16 : old.size() * 2, kNoRow);
+    index_->shift = 64;
+    for (std::size_t n = index_->slots.size(); n > 1; n >>= 1) {
+      --index_->shift;
+    }
+    const std::size_t mask = index_->slots.size() - 1;
+    std::vector<std::uint32_t> codes(positions_.size());
+    for (const std::uint32_t head : old) {
+      if (head == kNoRow) continue;
+      // Chains hold distinct keys: probe straight to the first free slot.
+      ReadCodes(head, codes.data());
+      std::size_t slot = SlotOf(codes.data());
+      while (index_->slots[slot] != kNoRow) slot = (slot + 1) & mask;
+      index_->slots[slot] = head;
+    }
+  }
+
+  SemijoinState::KeyRows* index_;
+  const ColumnStore& store_;
+  const std::vector<int>& positions_;
+  std::vector<std::uint32_t> codes_;
+};
 
 /// Variable-intersection graph of `query` (the Gaifman graph of the
 /// canonical instance): one vertex per body variable (dense numbering via
@@ -1033,8 +1161,8 @@ std::shared_ptr<const TrieIndex> BuildSurvivorTrie(const Atom& atom,
 /// The full pass: assigns every atom to a bag of the plan's certified
 /// decomposition, computes the filter schedule, collects every atom's
 /// survivors, runs the schedule, and publishes a fresh SemijoinState (the
-/// schedule, the per-step support counts and the per-atom survivor/dropped
-/// books) for later delta passes. An uncertified bag assignment abandons
+/// schedule, the per-step support counts and the per-atom drop steps) for
+/// later delta passes. An uncertified bag assignment abandons
 /// the pass visibly (semijoin_pass_ran stays false) and drops any cached
 /// state rather than serving views that no schedule can maintain.
 void RunHybridFullPass(const Query& query,
@@ -1048,39 +1176,41 @@ void RunHybridFullPass(const Query& query,
     return;
   }
   const std::size_t m = atoms->size();
-  std::vector<FilterStep> schedule = BuildFilterSchedule(*atoms);
+  auto fresh = std::make_unique<SemijoinState>();
+  fresh->schedule = BuildFilterSchedule(*atoms);
+  fresh->drop_step.resize(m);
+  fresh->dangling.assign(m, 0);
   for (std::size_t i = 0; i < m; ++i) {
     ReductionAtom& a = (*atoms)[i];
     a.store = &rels[i]->store();
+    std::vector<std::uint32_t>& drops = fresh->drop_step[i];
+    drops.assign(a.store->size(), kOffBooks);
     a.rows.reserve(rels[i]->size());
     for (std::size_t row = 0; row < a.store->size(); ++row) {
       if (a.store->IsLive(row) && SelfConsistent(a, *a.store, row)) {
         a.rows.push_back(static_cast<std::uint32_t>(row));
+        drops[row] = kNoDrop;
       }
     }
-    a.initial = a.rows.size();
+    local->semijoin_rows_visited += a.store->size();
   }
-  auto fresh = std::make_unique<SemijoinState>();
-  fresh->schedule = std::move(schedule);
-  RunFullPass(atoms, fresh.get());
+  RunFullPass(atoms, fresh.get(), local);
   local->semijoin_pass_ran = true;
+  fresh->key_rows.resize(fresh->schedule.size());
   fresh->generations.reserve(m);
   for (const Relation* rel : rels) {
     fresh->generations.push_back(rel->generation());
   }
   fresh->all_survive.assign(m, true);
   fresh->survivor_tries.assign(m, nullptr);
-  fresh->survivors.resize(m);
   for (std::size_t i = 0; i < m; ++i) {
-    ReductionAtom& a = (*atoms)[i];
-    const std::size_t dropped = a.initial - a.rows.size();
-    fresh->survivors[i] = std::move(a.rows);
+    const std::size_t dropped = fresh->dangling[i];
     if (dropped == 0) continue;  // full-relation trie stays usable
     local->semijoin_dropped_tuples += dropped;
     local->semijoin_dangling_tuples += dropped;
     fresh->all_survive[i] = false;
-    RowView view(a.store);
-    view.rows = fresh->survivors[i];
+    RowView view((*atoms)[i].store);
+    view.rows = std::move((*atoms)[i].rows);
     fresh->survivor_tries[i] =
         BuildSurvivorTrie(query.atoms()[i], rank, view, local);
     (*overrides)[i] = fresh->survivor_tries[i];
@@ -1095,11 +1225,16 @@ void RunHybridFullPass(const Query& query,
 /// transitions: a key newly at support zero kills the target tuples leaning
 /// on it, a key back from zero *revives* exactly the tuples this step
 /// dropped for lacking it, and appended or revived tuples meet each later
-/// step individually. Kills and revivals cascade (a changed row is tracked,
-/// so it re-enters phase one wherever its atom is a source), and the
-/// resulting survivor sets are identical to a from-scratch pass. Cost is
-/// O(delta . index work) plus one target-atom scan per step whose key set
-/// lost a member.
+/// step individually. The rows a transition touches are found through the
+/// step's target-key index (KeyRows, built on the step's first transition),
+/// not by scanning the target. Kills and revivals cascade (a changed row is
+/// tracked, so it re-enters phase one wherever its atom is a source), and
+/// the resulting survivor sets are identical to a from-scratch pass. The
+/// books are edited in place: only the drop steps of tracked rows move, and
+/// the dangling census is adjusted by their transitions. Cost is
+/// O(delta . index work): the journal rows, the chains of the keys that
+/// changed state, and one delta-constructor splice per changed survivor
+/// view.
 ///
 /// An unchanged generation vector makes every window empty: that is the
 /// skip, reported as semijoin_pass_skipped with survivor_view_hits counting
@@ -1141,18 +1276,12 @@ bool RunHybridDeltaPass(const Query& query,
     tracked_idx[atom].emplace(t.row, tracked[atom].size());
     tracked[atom].push_back(t);
   };
-  auto old_drop_of = [state](std::size_t atom, std::uint32_t row) {
-    const auto& book = state->dropped[atom];
-    auto it = std::lower_bound(
-        book.begin(), book.end(), row,
-        [](const std::pair<std::uint32_t, std::uint32_t>& d,
-           std::uint32_t r) { return d.first < r; });
-    return (it != book.end() && it->first == row) ? it->second : kNoDrop;
-  };
   for (std::size_t i = 0; i < m; ++i) {
     const ColumnStore& store = rels[i]->store();
-    local->delta_tuples_processed +=
+    const std::size_t window =
         deltas[i].appended_rows.size() + deltas[i].removed_rows.size();
+    local->delta_tuples_processed += window;
+    local->semijoin_rows_visited += window;
     for (const std::uint32_t row : deltas[i].appended_rows) {
       if (!SelfConsistent(atoms[i], store, row)) continue;
       track(i, TrackedRow{row, true, true, kNoDrop, kNoDrop});
@@ -1162,14 +1291,16 @@ bool RunHybridDeltaPass(const Query& query,
       // no books to balance. Their tombstoned columns stay readable until
       // compaction, which DeltasSince already ruled out.
       if (!SelfConsistent(atoms[i], store, row)) continue;
-      track(i, TrackedRow{row, false, false, old_drop_of(i, row), kNoDrop});
+      const std::uint32_t old_drop = state->drop_step[i][row];
+      CQB_CHECK(old_drop != kOffBooks);
+      track(i, TrackedRow{row, false, false, old_drop, kNoDrop});
     }
   }
 
   Tuple key;
   std::unordered_map<Tuple, std::uint32_t, TupleHash> old_at_key;
-  std::unordered_set<Tuple, TupleHash> new_keys;
-  std::unordered_set<Tuple, TupleHash> vanished;
+  std::vector<Tuple> new_keys;
+  std::vector<Tuple> vanished;
   for (std::size_t s = 0; s < schedule.size(); ++s) {
     const FilterStep& step = schedule[s];
     auto& counts = state->step_counts[s];
@@ -1205,49 +1336,46 @@ bool RunHybridDeltaPass(const Query& query,
     for (const auto& entry : old_at_key) {
       auto cit = counts.find(entry.first);
       const std::uint32_t newc = cit != counts.end() ? cit->second : 0u;
-      if (entry.second == 0 && newc > 0) new_keys.insert(entry.first);
+      if (entry.second == 0 && newc > 0) new_keys.push_back(entry.first);
       if (entry.second > 0 && newc == 0) {
-        vanished.insert(entry.first);
+        vanished.push_back(entry.first);
         counts.erase(cit);
       }
     }
-    key.assign(step.tgt_pos.size(), 0);
-    // Phase 3: kills. A vanished key strands every target row that was
-    // leaning on it (alive at this step in the old pass); rows already
-    // tracked settle their fate in the re-check below.
-    if (!vanished.empty()) {
-      auto maybe_kill = [&](std::uint32_t row, std::uint32_t old_drop) {
-        if (tracked_idx[step.target].count(row)) return;
-        for (std::size_t i = 0; i < step.tgt_pos.size(); ++i) {
-          key[i] = tgt_store.ValueAt(row, step.tgt_pos[i]);
-        }
-        if (!vanished.count(key)) return;
-        track(step.target, TrackedRow{row, true, false, old_drop, s32});
-      };
-      for (const std::uint32_t row : state->survivors[step.target]) {
-        maybe_kill(row, kNoDrop);
+    if (!vanished.empty() || !new_keys.empty()) {
+      const std::vector<std::uint32_t>& drops = state->drop_step[step.target];
+      const std::unordered_map<std::uint32_t, std::size_t>& seen =
+          tracked_idx[step.target];
+      KeyRowsIndex index(&state->key_rows[s], tgt_store, step.tgt_pos);
+      if (!index.built()) local->semijoin_rows_visited += index.Build(drops);
+      // Phase 3: kills. A vanished key strands every target row that was
+      // leaning on it (alive at this step in the old pass); rows already
+      // tracked settle their fate in the re-check below.
+      for (const Tuple& k : vanished) {
+        index.ForEachRow(k, [&](std::uint32_t row) {
+          ++local->semijoin_rows_visited;
+          const std::uint32_t old_drop = drops[row];
+          if (old_drop == kOffBooks || old_drop <= s32 || seen.count(row)) {
+            return;
+          }
+          track(step.target, TrackedRow{row, true, false, old_drop, s32});
+        });
       }
-      for (const auto& d : state->dropped[step.target]) {
-        if (d.second > s32) maybe_kill(d.first, d.second);
-      }
-    }
-    // Phase 4: revivals. A key back from zero re-admits exactly the rows
-    // this step dropped for lacking it; later steps then judge them
-    // individually.
-    if (!new_keys.empty()) {
-      for (const auto& d : state->dropped[step.target]) {
-        if (d.second != s32) continue;
-        if (tracked_idx[step.target].count(d.first)) continue;
-        for (std::size_t i = 0; i < step.tgt_pos.size(); ++i) {
-          key[i] = tgt_store.ValueAt(d.first, step.tgt_pos[i]);
-        }
-        if (!new_keys.count(key)) continue;
-        track(step.target, TrackedRow{d.first, true, false, s32, kNoDrop});
+      // Phase 4: revivals. A key back from zero re-admits exactly the rows
+      // this step dropped for lacking it; later steps then judge them
+      // individually.
+      for (const Tuple& k : new_keys) {
+        index.ForEachRow(k, [&](std::uint32_t row) {
+          ++local->semijoin_rows_visited;
+          if (drops[row] != s32 || seen.count(row)) return;
+          track(step.target, TrackedRow{row, true, false, s32, kNoDrop});
+        });
       }
     }
     // Phase 5: individual re-checks against the settled counts -- appended
     // rows meet each step for the first time, and tracked rows past their
     // old drop step have no recorded fate to reuse.
+    key.assign(step.tgt_pos.size(), 0);
     for (TrackedRow& t : tracked[step.target]) {
       if (!t.present_new || t.new_drop != kNoDrop) continue;
       if (!t.appended && t.old_drop > s32) continue;
@@ -1266,18 +1394,23 @@ bool RunHybridDeltaPass(const Query& query,
   }
   for (std::size_t i = 0; i < m; ++i) {
     state->generations[i] = rels[i]->generation();
+    // Rows appended since the last pass start off the books; the tracked
+    // ones among them get their fate below.
+    std::vector<std::uint32_t>& drops = state->drop_step[i];
+    GrowBook(&drops, rels[i]->store().size(), kOffBooks);
     if (tracked[i].empty()) {
       if (state->survivor_tries[i] != nullptr) {
         (*overrides)[i] = state->survivor_tries[i];
         if (gens_match) ++local->survivor_view_hits;
       }
-      local->semijoin_dangling_tuples += state->dropped[i].size();
+      local->semijoin_dangling_tuples += state->dangling[i];
       continue;
     }
-    // Stats plus the survivor-set delta (rows entering/leaving the view),
-    // which feeds both the row-set merge and the survivor trie unpatch.
+    // Stats, the books, and the survivor-set delta (rows entering/leaving
+    // the view), which feeds the survivor trie unpatch.
     RowView added(&rels[i]->store());
     RowView gone(&rels[i]->store());
+    std::size_t& dangling = state->dangling[i];
     for (const TrackedRow& t : tracked[i]) {
       const bool now_in = t.present_new && t.new_drop == kNoDrop;
       const bool was_in = !t.appended && t.old_drop == kNoDrop;
@@ -1291,64 +1424,18 @@ bool RunHybridDeltaPass(const Query& query,
           ++local->semijoin_killed_tuples;
         }
       }
-      if (t.present_new && t.new_drop != kNoDrop &&
-          (t.appended || t.old_drop == kNoDrop)) {
+      const bool was_dangling = !t.appended && t.old_drop != kNoDrop;
+      const bool now_dangling = t.present_new && t.new_drop != kNoDrop;
+      if (now_dangling && !was_dangling) {
         ++local->semijoin_dropped_tuples;
+        ++dangling;
       }
+      if (was_dangling && !now_dangling) --dangling;
+      drops[t.row] = t.present_new ? t.new_drop : kOffBooks;
     }
-    std::sort(added.rows.begin(), added.rows.end());
-    std::sort(gone.rows.begin(), gone.rows.end());
-    std::vector<std::uint32_t>& survivors = state->survivors[i];
-    if (!added.rows.empty() || !gone.rows.empty()) {
-      // One sorted merge: old survivors minus departures plus arrivals
-      // (appended rows sit past every old row; revived rows interleave).
-      std::vector<std::uint32_t> next;
-      next.reserve(survivors.size() + added.rows.size());
-      std::size_t a = 0;
-      std::size_t g = 0;
-      for (const std::uint32_t row : survivors) {
-        while (a < added.rows.size() && added.rows[a] < row) {
-          next.push_back(added.rows[a++]);
-        }
-        if (g < gone.rows.size() && gone.rows[g] == row) {
-          ++g;
-          continue;
-        }
-        next.push_back(row);
-      }
-      while (a < added.rows.size()) next.push_back(added.rows[a++]);
-      survivors = std::move(next);
-    }
-    // The dropped book: rows that left the relation or revived go off the
-    // books, re-dropped rows get their new step, fresh danglers (killed or
-    // appended-and-dropped) come on.
-    std::vector<std::pair<std::uint32_t, std::uint32_t>>& book =
-        state->dropped[i];
-    std::vector<std::pair<std::uint32_t, std::uint32_t>> next_book;
-    next_book.reserve(book.size() + tracked[i].size());
-    for (const auto& d : book) {
-      auto it = tracked_idx[i].find(d.first);
-      if (it == tracked_idx[i].end()) {
-        next_book.push_back(d);
-        continue;
-      }
-      const TrackedRow& t = tracked[i][it->second];
-      if (t.present_new && t.new_drop != kNoDrop) {
-        next_book.emplace_back(d.first, t.new_drop);
-      }
-    }
-    for (const TrackedRow& t : tracked[i]) {
-      const bool was_dropped = !t.appended && t.old_drop != kNoDrop;
-      if (was_dropped) continue;  // settled above
-      if (t.present_new && t.new_drop != kNoDrop) {
-        next_book.emplace_back(t.row, t.new_drop);
-      }
-    }
-    std::sort(next_book.begin(), next_book.end());
-    book = std::move(next_book);
-    state->all_survive[i] = book.empty();
-    local->semijoin_dangling_tuples += book.size();
-    if (book.empty()) {
+    state->all_survive[i] = dangling == 0;
+    local->semijoin_dangling_tuples += dangling;
+    if (dangling == 0) {
       // Every live tuple survives again: the trie tier's full-relation
       // trie serves enumeration, no view needed.
       state->survivor_tries[i] = nullptr;
@@ -1374,11 +1461,24 @@ bool RunHybridDeltaPass(const Query& query,
       // First drops for this atom since the full pass: no cached view to
       // unpatch, build one over the survivor set.
       RowView view(&rels[i]->store());
-      view.rows = survivors;
+      for (std::size_t row = 0; row < drops.size(); ++row) {
+        if (drops[row] == kNoDrop) {
+          view.rows.push_back(static_cast<std::uint32_t>(row));
+        }
+      }
       state->survivor_tries[i] =
           BuildSurvivorTrie(query.atoms()[i], rank, view, local);
       (*overrides)[i] = state->survivor_tries[i];
     }
+  }
+  // Built key indexes take in the rows appended this window.
+  for (std::size_t s = 0; s < schedule.size() && !gens_match; ++s) {
+    if (state->key_rows[s].slots.empty()) continue;
+    const FilterStep& step = schedule[s];
+    KeyRowsIndex index(&state->key_rows[s], rels[step.target]->store(),
+                       step.tgt_pos);
+    local->semijoin_rows_visited +=
+        index.Extend(state->drop_step[step.target]);
   }
   return true;
 }

@@ -137,9 +137,10 @@ struct EvalStats {
   /// trie_cache_misses (a patched trie is still a rebuilt object).
   std::size_t trie_patches = 0;
   /// Trie tier: cache misses served by unpatching a cached trie over a
-  /// window with removed rows: the new trie was produced by subtracting the
-  /// removed keys' support while merging the appended ones, O(base +
-  /// delta), no full sort. Every unpatch also counts in trie_cache_misses.
+  /// window with removed rows: the new trie was spliced from the cached
+  /// one, subtracting the removed keys' support and adding the appended
+  /// ones -- O(delta log base) work plus one bulk copy, no sort of the
+  /// base. Every unpatch also counts in trie_cache_misses.
   std::size_t trie_unpatches = 0;
   /// Trie tier: cache misses that ran the full from-scratch relation sort
   /// -- cold entries (every build of a context-free call), or stale entries
@@ -176,6 +177,14 @@ struct EvalStats {
   /// was skipped. The oracle checks this against a from-scratch
   /// re-reduction's semijoin_dropped_tuples.
   std::size_t semijoin_dangling_tuples = 0;
+  /// Hybrid plan: rows the semi-join pass read to settle fates. A full pass
+  /// counts its scan of every atom's store plus every source and target row
+  /// each filter step reads; a delta pass counts its journal rows, the
+  /// rows on the key-index chains of the keys that vanished or returned,
+  /// the rows a lazy key-index build scans, and the appended rows it links
+  /// into built indexes. Deterministic, so at a fixed delta a flat count
+  /// across base sizes is the O(delta) proof; a skip reads no row.
+  std::size_t semijoin_rows_visited = 0;
   /// Generic join: sibling scans truncated by the projection-aware early
   /// exit -- once the bound prefix covers every head variable, a single
   /// witness of the remaining variables suffices, so the search returns as

@@ -148,8 +148,10 @@ Status CheckWritableRelation(const std::string& name, int arity) {
 /// InsertFlat batch per relation at end of input -- a single dedup pass
 /// over the appended block instead of a per-tuple hash insert. Errors carry
 /// their line numbers (checked during the parse); on error nothing is
-/// flushed.
-Status ParseDatabaseText(std::string_view text, Database* db) {
+/// flushed. Every relation the parse creates is named in `*declared`, so
+/// the caller can roll the declarations back.
+Status ParseDatabaseText(std::string_view text, Database* db,
+                         std::vector<std::string>* declared) {
   struct PendingRows {
     Relation* rel = nullptr;
     std::vector<Value> flat;
@@ -201,11 +203,13 @@ Status ParseDatabaseText(std::string_view text, Database* db) {
     if (first == "relation") {
       const std::string_view name = next_token();
       const std::string_view ar = next_token();
+      const bool trailing = !next_token().empty();
       int arity = -1;
       const auto parsed = std::from_chars(ar.data(), ar.data() + ar.size(),
                                           arity);
-      if (name.empty() || ar.empty() || parsed.ec != std::errc() ||
-          parsed.ptr != ar.data() + ar.size() || arity < 0) {
+      if (name.empty() || ar.empty() || trailing ||
+          parsed.ec != std::errc() || parsed.ptr != ar.data() + ar.size() ||
+          arity < 0) {
         return Status::ParseError(LinePrefix(line_number) +
                                   "expected 'relation NAME ARITY'");
       }
@@ -222,6 +226,7 @@ Status ParseDatabaseText(std::string_view text, Database* db) {
             "contains '%' or control characters");
       }
       scratch.assign(name);
+      if (db->Find(scratch) == nullptr) declared->push_back(scratch);
       if (db->AddRelation(scratch, arity) == nullptr) {
         return Status::ParseError(LinePrefix(line_number) + "relation '" +
                                   scratch +
@@ -280,6 +285,21 @@ Status ParseDatabaseText(std::string_view text, Database* db) {
   return Status::OK();
 }
 
+/// ParseDatabaseText with the all-or-nothing contract: on error the
+/// relations the parse declared are dropped again and the pool is cut back
+/// to its size on entry, so `db` is exactly as it was. The success path
+/// only pays for taking the mark.
+Status ReadInto(std::string_view text, Database* db) {
+  const std::size_t pool_mark = db->value_pool()->size();
+  std::vector<std::string> declared;
+  Status status = ParseDatabaseText(text, db, &declared);
+  if (!status.ok()) {
+    for (const std::string& name : declared) db->RemoveRelation(name);
+    db->value_pool()->Truncate(pool_mark);
+  }
+  return status;
+}
+
 /// The writer: renders `db` into `*out`. Each value is appended from the
 /// pool's arena through AppendEscaped, with no string per value.
 Status RenderDatabaseText(const Database& db, std::string* out) {
@@ -333,11 +353,11 @@ Status ReadDatabaseText(std::istream& in, Database* db) {
     }
     text.resize(used);
   }
-  return ParseDatabaseText(text, db);
+  return ReadInto(text, db);
 }
 
 Status ReadDatabaseTextFromString(const std::string& text, Database* db) {
-  return ParseDatabaseText(text, db);
+  return ReadInto(text, db);
 }
 
 Status WriteDatabaseText(const Database& db, std::ostream& out) {

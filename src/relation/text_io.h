@@ -42,7 +42,11 @@ inline constexpr int kMaxTextArity = 4096;
 /// malformed declarations, an arity above kMaxTextArity, a relation name
 /// the writer could not write back (the keyword "relation", or one
 /// containing '%' or control characters), undeclared relations, arity
-/// mismatches and malformed escapes. On error no tuple is inserted.
+/// mismatches and malformed escapes -- including a declaration line with
+/// tokens after its arity. On error `db` is unchanged: no tuple is
+/// inserted, every relation the call declared is dropped again, and every
+/// spelling it interned is cut from the pool, so a retry mints the same ids
+/// a fresh read would.
 Status ReadDatabaseText(std::istream& in, Database* db);
 Status ReadDatabaseTextFromString(const std::string& text, Database* db);
 

@@ -10,6 +10,7 @@ namespace {
 
 std::atomic<std::uint64_t> g_radix_builds{0};
 std::atomic<std::uint64_t> g_merge_builds{0};
+std::atomic<std::uint64_t> g_delta_keys_compared{0};
 std::atomic<std::uint64_t> g_tuple_materializations{0};
 
 /// Maps a signed Value onto uint64 preserving order: flipping the sign bit
@@ -115,6 +116,8 @@ TrieBuildStats GetTrieBuildStats() {
   TrieBuildStats stats;
   stats.radix_builds = g_radix_builds.load(std::memory_order_relaxed);
   stats.merge_builds = g_merge_builds.load(std::memory_order_relaxed);
+  stats.delta_keys_compared =
+      g_delta_keys_compared.load(std::memory_order_relaxed);
   stats.tuple_materializations =
       g_tuple_materializations.load(std::memory_order_relaxed);
   return stats;
@@ -219,37 +222,6 @@ void TrieIndex::BuildFromSortedFlat(const std::vector<std::uint64_t>& keys,
   }
 }
 
-void TrieIndex::EnumerateFlatKeys(std::vector<std::uint64_t>* out) const {
-  const int depth = num_levels();
-  if (depth == 0 || levels_[0].values.empty()) return;
-  // Iterative DFS over the flat levels. stack[l] is the current node index
-  // at level l; advancing past a node's sibling range pops back to level
-  // l-1. Nodes within a sibling range are sorted and sibling ranges follow
-  // parent order, so the walk emits keys in lexicographic order.
-  std::vector<std::size_t> stack(static_cast<std::size_t>(depth));
-  std::vector<Range> ranges(static_cast<std::size_t>(depth));
-  std::vector<std::uint64_t> key(static_cast<std::size_t>(depth));
-  ranges[0] = RootRange();
-  stack[0] = 0;
-  int l = 0;
-  while (l >= 0) {
-    if (stack[l] >= ranges[l].end) {
-      --l;
-      if (l >= 0) ++stack[l];
-      continue;
-    }
-    key[l] = BiasValue(levels_[l].values[stack[l]]);
-    if (l + 1 < depth) {
-      ranges[l + 1] = ChildRange(l, stack[l]);
-      stack[l + 1] = ranges[l + 1].begin;
-      ++l;
-    } else {
-      out->insert(out->end(), key.begin(), key.end());
-      ++stack[l];
-    }
-  }
-}
-
 TrieIndex::TrieIndex(const Relation& rel,
                      const std::vector<std::vector<int>>& level_positions) {
   g_radix_builds.fetch_add(1, std::memory_order_relaxed);
@@ -327,65 +299,183 @@ TrieIndex::TrieIndex(const TrieIndex& base, const RowView& appended,
   std::vector<std::uint32_t> subc;
   const std::size_t sk = sorted_delta(removed, &sub, &subc);
 
-  std::vector<std::uint64_t> base_keys;
-  base_keys.reserve(base.num_tuples_ * static_cast<std::size_t>(depth));
-  base.EnumerateFlatKeys(&base_keys);
-  const std::size_t bk = base_keys.size() / static_cast<std::size_t>(depth);
+  // Per level, the node edits in key order. An edit names a base node
+  // (kKeep: it stays, kErase: it goes) or the base node an inserted one
+  // precedes (kInsert), plus the net change in its child count -- the
+  // amount every later first-child offset of that level shifts by.
+  enum class EditKind : std::uint8_t { kKeep, kErase, kInsert };
+  struct Edit {
+    std::size_t pos = 0;
+    EditKind kind = EditKind::kKeep;
+    Value value = 0;               // kInsert: the new node's key
+    std::int64_t child_delta = 0;  // inner levels: net children gained
+    std::uint32_t count = 0;       // last level: the key's new support
+  };
+  std::vector<std::vector<Edit>> edits(static_cast<std::size_t>(depth));
+  // The path of the delta key being applied: one pending edit per level,
+  // emitted once a later key leaves that node's subtree (so a node's fate
+  // is known only after every delta key below it was applied).
+  std::vector<Edit> path(static_cast<std::size_t>(depth));
+  std::vector<std::size_t> base_children(static_cast<std::size_t>(depth));
+  const auto close_level = [&](int l) {
+    Edit& e = path[static_cast<std::size_t>(l)];
+    const bool leaf = l + 1 == depth;
+    if (e.kind == EditKind::kKeep &&
+        (leaf ? e.count == 0
+              : base_children[static_cast<std::size_t>(l)] +
+                        static_cast<std::size_t>(e.child_delta) ==
+                    0)) {
+      e.kind = EditKind::kErase;
+    }
+    if (l > 0) {
+      std::int64_t& parent = path[static_cast<std::size_t>(l - 1)].child_delta;
+      if (e.kind == EditKind::kErase) --parent;
+      if (e.kind == EditKind::kInsert) ++parent;
+    }
+    edits[static_cast<std::size_t>(l)].push_back(e);
+  };
 
-  // One sorted merge. The base and appended streams pick the current key
-  // with a single comparison; the (usually short) removed stream is only
-  // tested against that chosen key. Per distinct key the net support is
-  // base + appended - removed, and the key survives iff it stays positive.
-  std::vector<std::uint64_t> merged;
-  merged.reserve(base_keys.size() + add.size());
-  std::vector<std::uint32_t> counts;
-  counts.reserve(bk + ak);
-  std::size_t bi = 0;
+  // One pass over the merged delta streams. Each distinct delta key is
+  // located in the base by a binary search per level inside its parent's
+  // child range; below the first level where it is absent, its nodes are
+  // new and sit before the base children of the node they precede.
   std::size_t ai = 0;
   std::size_t si = 0;
+  const std::uint64_t* prev = nullptr;  // last applied delta key
+  std::uint64_t located = 0;
+  // where[l]: the key's level-l node in the base, or the base node its new
+  // level-l node precedes; levels at and past `absent` are new.
+  std::vector<std::size_t> where(static_cast<std::size_t>(depth));
   while (ai < ak || si < sk) {
-    // A removed key past both the base and the appended streams was never
-    // supported: the removed stream must be fully consumed by the merge.
-    CQB_CHECK(bi < bk || ai < ak);
-    // < 0: base key first; > 0: appended key first; 0: equal keys.
-    const int cmp = bi == bk   ? 1
-                    : ai == ak ? -1
-                               : CompareKeys(base_keys.data() + bi * depth,
-                                             add.data() + ai * depth, depth);
+    const int cmp = ai == ak   ? 1
+                    : si == sk ? -1
+                               : CompareKeys(add.data() + ai * depth,
+                                             sub.data() + si * depth, depth);
     const std::uint64_t* key =
-        cmp <= 0 ? base_keys.data() + bi * depth : add.data() + ai * depth;
-    std::int64_t net = 0;
-    if (cmp <= 0) net += base.CountOf(bi++);
-    if (cmp >= 0) net += addc[ai++];
-    if (si < sk) {
-      const int rcmp = CompareKeys(sub.data() + si * depth, key, depth);
-      // A removed key below the current one was skipped by both streams:
-      // a removal named a row whose key nothing supported.
-      CQB_CHECK(rcmp >= 0);
-      if (rcmp == 0) net -= subc[si++];
-    }
-    // A negative net means a removal outnumbered the key's support -- a
-    // journal bug upstream.
-    CQB_CHECK(net >= 0);
-    if (net > 0) {
-      merged.insert(merged.end(), key, key + depth);
-      counts.push_back(static_cast<std::uint32_t>(net));
-    }
-  }
-  // Past the last delta key the base's remaining keys carry over verbatim.
-  merged.insert(merged.end(),
-                base_keys.begin() + static_cast<std::ptrdiff_t>(bi * depth),
-                base_keys.end());
-  if (base.counts_.empty()) {
-    counts.resize(counts.size() + (bk - bi), 1u);
-  } else {
-    counts.insert(counts.end(),
-                  base.counts_.begin() + static_cast<std::ptrdiff_t>(bi),
-                  base.counts_.end());
-  }
+        cmp <= 0 ? add.data() + ai * depth : sub.data() + si * depth;
+    const std::uint32_t plus = cmp <= 0 ? addc[ai++] : 0u;
+    const std::uint32_t minus = cmp >= 0 ? subc[si++] : 0u;
+    ++located;
 
-  BuildFromSortedFlat(merged, counts.size(), depth);
-  SetCounts(std::move(counts));
+    int absent = depth;
+    std::size_t lo = 0;
+    std::size_t hi = base.levels_[0].values.size();
+    for (int l = 0; l < depth; ++l) {
+      const Level& level = base.levels_[static_cast<std::size_t>(l)];
+      std::size_t pos = lo;
+      if (absent == depth) {
+        const auto first = level.values.begin();
+        pos = static_cast<std::size_t>(
+            std::lower_bound(first + static_cast<std::ptrdiff_t>(lo),
+                             first + static_cast<std::ptrdiff_t>(hi),
+                             UnbiasKey(key[l])) -
+            first);
+        if (pos == hi || level.values[pos] != UnbiasKey(key[l])) absent = l;
+      }
+      where[static_cast<std::size_t>(l)] = pos;
+      if (l + 1 < depth) {
+        // A present node's children are its child range; a new node's
+        // children go where the base children of the node it precedes
+        // begin.
+        lo = level.child_begin[pos];
+        hi = absent == depth ? level.child_begin[pos + 1] : lo;
+      }
+    }
+    const bool found = absent == depth;
+    const std::uint32_t base_count =
+        found ? base.CountOf(where[static_cast<std::size_t>(depth - 1)]) : 0u;
+    // A removed key must be supported by the base or the appended rows, and
+    // no key's support may go negative -- either is a journal bug upstream.
+    CQB_CHECK(minus == 0 || found || plus > 0);
+    const std::int64_t net = static_cast<std::int64_t>(base_count) + plus -
+                             static_cast<std::int64_t>(minus);
+    CQB_CHECK(net >= 0);
+    if (!found && net == 0) continue;  // appended and removed: no node
+
+    int split = 0;
+    if (prev != nullptr) {
+      while (prev[split] == key[split]) ++split;  // keys are distinct
+      for (int l = depth - 1; l >= split; --l) close_level(l);
+    }
+    for (int l = split; l < depth; ++l) {
+      const Level& level = base.levels_[static_cast<std::size_t>(l)];
+      Edit& e = path[static_cast<std::size_t>(l)];
+      e = Edit{};
+      e.pos = where[static_cast<std::size_t>(l)];
+      e.kind = l < absent ? EditKind::kKeep : EditKind::kInsert;
+      e.value = UnbiasKey(key[l]);
+      if (l + 1 < depth && l < absent) {
+        base_children[static_cast<std::size_t>(l)] =
+            level.child_begin[e.pos + 1] - level.child_begin[e.pos];
+      }
+    }
+    path[static_cast<std::size_t>(depth - 1)].count =
+        static_cast<std::uint32_t>(net);
+    prev = key;
+  }
+  if (prev != nullptr) {
+    for (int l = depth - 1; l >= 0; --l) close_level(l);
+  }
+  g_delta_keys_compared.fetch_add(located, std::memory_order_relaxed);
+
+  // Splice every level: untouched runs of the base arrays are bulk-copied,
+  // first-child offsets shifted by the running child-count change of the
+  // nodes before them.
+  levels_.resize(static_cast<std::size_t>(depth));
+  std::vector<std::uint32_t> counts;
+  bool explicit_counts = !base.counts_.empty();
+  for (const Edit& e : edits[static_cast<std::size_t>(depth - 1)]) {
+    if (e.kind != EditKind::kErase && e.count != 1) explicit_counts = true;
+  }
+  for (int l = 0; l < depth; ++l) {
+    const Level& from = base.levels_[static_cast<std::size_t>(l)];
+    Level& to = levels_[static_cast<std::size_t>(l)];
+    const bool inner = l + 1 < depth;
+    const bool leaf_counts = !inner && explicit_counts;
+    const std::vector<Edit>& level_edits = edits[static_cast<std::size_t>(l)];
+    to.values.reserve(from.values.size() + level_edits.size());
+    if (inner) to.child_begin.reserve(from.child_begin.size() +
+                                      level_edits.size());
+    if (leaf_counts) counts.reserve(from.values.size() + level_edits.size());
+    std::size_t cur = 0;
+    std::size_t shift = 0;  // mod 2^64: adding it applies a signed shift
+    const auto copy_run = [&](std::size_t end) {
+      const auto first = static_cast<std::ptrdiff_t>(cur);
+      const auto last = static_cast<std::ptrdiff_t>(end);
+      to.values.insert(to.values.end(), from.values.begin() + first,
+                       from.values.begin() + last);
+      if (inner) {
+        for (std::size_t i = cur; i < end; ++i) {
+          to.child_begin.push_back(from.child_begin[i] + shift);
+        }
+      }
+      if (leaf_counts) {
+        if (base.counts_.empty()) {
+          counts.resize(counts.size() + (end - cur), 1u);
+        } else {
+          counts.insert(counts.end(), base.counts_.begin() + first,
+                        base.counts_.begin() + last);
+        }
+      }
+      cur = end;
+    };
+    for (const Edit& e : level_edits) {
+      copy_run(e.pos);
+      if (e.kind != EditKind::kErase) {
+        to.values.push_back(e.value);
+        if (inner) to.child_begin.push_back(from.child_begin[e.pos] + shift);
+        if (leaf_counts) counts.push_back(e.count);
+      }
+      if (e.kind != EditKind::kInsert) cur = e.pos + 1;
+      shift += static_cast<std::size_t>(e.child_delta);
+    }
+    copy_run(from.values.size());
+    if (inner) {
+      to.child_begin.push_back(from.child_begin[from.values.size()] + shift);
+    }
+  }
+  num_tuples_ = levels_[static_cast<std::size_t>(depth - 1)].values.size();
+  if (explicit_counts) SetCounts(std::move(counts));
 }
 
 std::size_t TrieIndex::SeekGE(int level, Range r, Value v) const {

@@ -13,15 +13,20 @@ namespace cqbounds {
 
 /// Monotonic process-wide counters over TrieIndex construction, readable by
 /// benches and tests. `radix_builds` counts from-scratch builds (Relation and
-/// RowView constructors), `merge_builds` counts delta-constructor merges.
-/// `tuple_materializations` is a tripwire: it counts per-tuple heap `Tuple`
-/// objects created during trie construction, which is zero by design on the
-/// columnar radix and merge paths -- bench_e15_columnar_scale asserts it
-/// stays zero, so any future build path that regresses to materializing
-/// row-major tuples must bump it and will trip the bench.
+/// RowView constructors), `merge_builds` counts delta-constructor splices.
+/// `delta_keys_compared` counts the distinct delta keys the delta
+/// constructor locates in its base (one binary-search descent each); the
+/// untouched runs it bulk-copies are not counted, so at a fixed delta it
+/// stays flat however large the base grows. `tuple_materializations` is a
+/// tripwire: it counts per-tuple heap `Tuple` objects created during trie
+/// construction, which is zero by design on the columnar radix and splice
+/// paths -- bench_e15_columnar_scale asserts it stays zero, so any future
+/// build path that regresses to materializing row-major tuples must bump it
+/// and will trip the bench.
 struct TrieBuildStats {
   std::uint64_t radix_builds = 0;
   std::uint64_t merge_builds = 0;
+  std::uint64_t delta_keys_compared = 0;
   std::uint64_t tuple_materializations = 0;
 };
 TrieBuildStats GetTrieBuildStats();
@@ -87,13 +92,17 @@ class TrieIndex {
   /// readable (Relation::DeltasSince guarantees this until compaction);
   /// rows failing the repeated-variable filter are skipped symmetrically on
   /// both delta sides, mirroring what the base build did. Cost is
-  /// O(base + k log k) for k = |appended| + |removed|: the base's keys are
-  /// enumerated already sorted (a DFS over its flat levels) and merged with
-  /// the sorted delta streams in one pass, skipping the full sort a
-  /// from-scratch build pays. `base` is never modified -- the result is a
-  /// fresh object, so readers holding shared_ptrs to `base` are unaffected
-  /// (the EvalContext concurrency contract). Checks that no key's support
-  /// goes negative and that every removed key was supported.
+  /// O(k log n) work plus one bulk copy, for k = |appended| + |removed|
+  /// and n = |base|: the delta rows are sorted, each distinct delta key is
+  /// located by a binary search per level inside its parent's child range,
+  /// and the level arrays are spliced -- the untouched runs of values,
+  /// first-child offsets and support counts are copied whole, offsets
+  /// shifted by the running child-count change, and only the edited nodes
+  /// are written one by one. No base key is enumerated or compared. `base`
+  /// is never modified -- the result is a fresh object, so readers holding
+  /// shared_ptrs to `base` are unaffected (the EvalContext concurrency
+  /// contract). Checks that no key's support goes negative and that every
+  /// removed key was supported.
   TrieIndex(const TrieIndex& base, const RowView& appended,
             const RowView& removed,
             const std::vector<std::vector<int>>& level_positions);
@@ -166,15 +175,10 @@ class TrieIndex {
   void SetCounts(std::vector<std::uint32_t>&& counts);
 
   /// Builds the per-level arrays from an already sorted, deduplicated packed
-  /// key stream of m rows (the single-scan core, exposed so the delta
-  /// constructor's merge can feed it directly).
+  /// key stream of m rows (the single-scan core of the from-scratch
+  /// builds).
   void BuildFromSortedFlat(const std::vector<std::uint64_t>& keys,
                            std::size_t m, int depth);
-
-  /// Appends every key of this trie, packed and sign-biased, in
-  /// lexicographic order (an iterative DFS over the flat levels -- no
-  /// comparisons, no sort, no Tuple objects).
-  void EnumerateFlatKeys(std::vector<std::uint64_t>* out) const;
 
   std::vector<Level> levels_;
   std::size_t num_tuples_ = 0;

@@ -41,6 +41,7 @@ inline void ExpectSameStats(const EvalStats& a, const EvalStats& b,
   EXPECT_EQ(a.semijoin_killed_tuples, b.semijoin_killed_tuples) << context;
   EXPECT_EQ(a.semijoin_dangling_tuples, b.semijoin_dangling_tuples)
       << context;
+  EXPECT_EQ(a.semijoin_rows_visited, b.semijoin_rows_visited) << context;
   EXPECT_EQ(a.projection_subtrees_skipped, b.projection_subtrees_skipped)
       << context;
   EXPECT_EQ(a.parallel_workers, b.parallel_workers) << context;

@@ -168,6 +168,78 @@ TEST(TrieIndexTest, DeltaConstructorMatchesRebuildOnChainedWindows) {
       {{0, 2}, {1}},    // repeated variable R(X, Y, X)
       {},               // nullary guard
   };
+  // A trie's support counts are invisible to seeks, so they are observed
+  // through one more delta: removing every live row must leave the trie
+  // empty. A count too low fails the constructor's support check, one too
+  // high leaves its key behind.
+  auto expect_drains = [](const TrieIndex& trie, const Relation& r,
+                          const std::vector<std::vector<int>>& layout,
+                          const std::string& context) {
+    RowView live(&r.store());
+    for (std::size_t row = 0; row < r.store().size(); ++row) {
+      if (r.store().IsLive(row)) {
+        live.rows.push_back(static_cast<std::uint32_t>(row));
+      }
+    }
+    const TrieIndex drained(trie, RowView(&r.store()), live, layout);
+    EXPECT_EQ(drained.num_tuples(), 0u) << context;
+    EXPECT_TRUE(AllKeys(drained).empty()) << context;
+  };
+
+  // Scripted windows that hit the splice's edges, run on every layout:
+  // a level-0 group emptied entirely, new level-0 values before the
+  // first, after the last and between groups, a key removed and re-added
+  // in one window, and (under the projected layout) supports above one.
+  struct Window {
+    std::vector<Tuple> remove;
+    std::vector<Tuple> insert;
+  };
+  const std::vector<Window> script = {
+      {{}, {{2, 1, 1}, {2, 1, 5}, {2, 2, 1}, {4, 1, 1}, {4, 3, 3},
+            {4, 3, 0}, {6, 1, 2}, {6, 1, 6}}},
+      // Empty level-0 group 4 (and, projected, keys of support two).
+      {{{4, 1, 1}, {4, 3, 3}, {4, 3, 0}}, {}},
+      // New level-0 values before the first, after the last, between.
+      {{}, {{0, 5, 5}, {300, 300, 300}, {3, 1, 1}, {5, 0, 0}, {5, 0, 7}}},
+      // Remove and re-add one key; drop one of two supports of another.
+      {{{2, 1, 1}, {6, 1, 2}}, {{2, 1, 1}}},
+      // Empty the first and the last level-0 groups while adding inside.
+      {{{0, 5, 5}, {300, 300, 300}}, {{4, 4, 4}, {2, 0, 2}}},
+      // Drop the last support of a projected key and re-add elsewhere.
+      {{{6, 1, 6}, {2, 1, 5}, {2, 1, 1}}, {{6, 1, 6}, {7, 7, 7}}},
+      // Every row below the filler goes, then two come back.
+      {{{2, 2, 1}, {3, 1, 1}, {5, 0, 0}, {5, 0, 7}, {4, 4, 4}, {2, 0, 2},
+        {7, 7, 7}},
+       {{1, 1, 1}, {8, 8, 1}}},
+  };
+  for (const auto& layout : layouts) {
+    // Filler rows between the scripted values and 300 keep the tombstones
+    // below the compaction threshold, so every window stays a delta.
+    Relation r("R", 3);
+    for (Value i = 0; i < 80; ++i) {
+      r.Insert({100 + i / 4, 100 + i % 4, 100 + i % 2});
+    }
+    TrieIndex trie(r, layout);
+    for (std::size_t w = 0; w < script.size(); ++w) {
+      const std::uint64_t snapshot = r.generation();
+      for (const Tuple& t : script[w].remove) ASSERT_TRUE(r.Remove(t));
+      for (const Tuple& t : script[w].insert) ASSERT_TRUE(r.Insert(t));
+      Relation::DeltaSet ds;
+      ASSERT_TRUE(r.DeltasSince(snapshot, &ds)) << "script window " << w;
+      RowView appended(&r.store());
+      appended.rows = ds.appended_rows;
+      RowView removed(&r.store());
+      removed.rows = ds.removed_rows;
+      trie = TrieIndex(trie, appended, removed, layout);
+      const TrieIndex scratch(r, layout);
+      const std::string context = "layout " + std::to_string(layout.size()) +
+                                  " script window " + std::to_string(w);
+      ASSERT_EQ(trie.num_tuples(), scratch.num_tuples()) << context;
+      ASSERT_EQ(AllKeys(trie), AllKeys(scratch)) << context;
+      expect_drains(trie, r, layout, context);
+    }
+  }
+
   Rng rng(20261017);
   std::size_t delta_windows = 0;
   for (const auto& layout : layouts) {
@@ -214,6 +286,9 @@ TEST(TrieIndexTest, DeltaConstructorMatchesRebuildOnChainedWindows) {
             << "layout " << layout.size() << " window " << window;
         ASSERT_EQ(AllKeys(trie), AllKeys(scratch))
             << "layout " << layout.size() << " window " << window;
+        expect_drains(trie, r, layout,
+                      "layout " + std::to_string(layout.size()) +
+                          " window " + std::to_string(window));
       }
     }
   }

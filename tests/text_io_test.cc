@@ -100,6 +100,9 @@ TEST(TextIoTest, Errors) {
       {"relation R -1\n", "line 1: expected 'relation NAME ARITY'"},
       {"relation R 2x\n", "line 1: expected 'relation NAME ARITY'"},
       {"relation R 99999999999\n", "line 1: expected 'relation NAME ARITY'"},
+      {"relation R 2 junk\n", "line 1: expected 'relation NAME ARITY'"},
+      {"relation R 2\t#ok\nrelation S 1 1\n",
+       "line 2: expected 'relation NAME ARITY'"},
       {"R a b\n", "line 1: tuple for undeclared relation 'R'"},
       {"relation R 2\nR a\n",
        "line 2: tuple of arity 1 for relation 'R' of arity 2"},
@@ -143,6 +146,39 @@ TEST(TextIoTest, StringAndStreamReadersAgree) {
     Database db;
     const Status status = ReadBothWays(text, &db);
     EXPECT_TRUE(status.ok()) << status << "\ntext: " << text;
+  }
+
+  // A failed read leaves the database exactly as it was -- relations,
+  // pool size and spellings -- through either reader, even when it had
+  // declared relations and interned spellings before the bad line. A retry
+  // then mints the same ids as a read into a database that never saw the
+  // failure.
+  const std::string prior = "relation Old 1\nOld keep\nOld %20\n";
+  const std::vector<std::string> failing = {
+      "relation New 2\nNew a b\nNew c\n",
+      "relation New 1\nNew fresh\nOld also\nrelation Old 2\n",
+      "Old x\nOld y\nUndeclared z\n",
+      "relation A 1\nrelation B 1\nA a1\nB b1\nB %zz\n",
+      "relation Old 1 junk\n",
+  };
+  const std::string retry = "relation New 1\nNew b\nOld a\nNew keep\n";
+  for (const std::string& bad : failing) {
+    for (const bool stream : {false, true}) {
+      Database db;
+      ASSERT_TRUE(ReadDatabaseTextFromString(prior, &db).ok());
+      Database before;
+      ASSERT_TRUE(ReadDatabaseTextFromString(prior, &before).ok());
+      const std::size_t pool_size = db.value_pool()->size();
+      std::istringstream in(bad);
+      const Status status = stream ? ReadDatabaseText(in, &db)
+                                   : ReadDatabaseTextFromString(bad, &db);
+      ASSERT_EQ(status.code(), StatusCode::kParseError) << bad;
+      EXPECT_EQ(db.value_pool()->size(), pool_size) << bad;
+      EXPECT_EQ(DiffDatabases(db, before), "") << bad;
+      ASSERT_TRUE(ReadDatabaseTextFromString(retry, &db).ok()) << bad;
+      ASSERT_TRUE(ReadDatabaseTextFromString(retry, &before).ok()) << bad;
+      EXPECT_EQ(DiffDatabases(db, before), "") << bad;
+    }
   }
 }
 
