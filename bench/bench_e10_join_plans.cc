@@ -10,16 +10,167 @@
 // The star-triangle table is the paper's size bound turned adversarial: the
 // naive plan's two-step-walk intermediate overshoots rmax^{3/2} while the
 // generic join cannot, and both agree on the output.
+//
+// The seek/* timers time TrieIndex::SeekGE alone, as leapfrog walks over
+// one wide level of keys an API caller may supply: dense ids, where the
+// kernel's interpolation probe lands on the answer, and random, clustered
+// and geometric keys, where it does not.
+
+#include <algorithm>
+#include <cstddef>
+#include <map>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "bench/bench_util.h"
 #include "core/join_plan.h"
 #include "core/size_bounds.h"
 #include "cq/parser.h"
+#include "relation/eval_context.h"
 #include "relation/evaluate.h"
 #include "relation/generator.h"
+#include "relation/trie_index.h"
+#include "util/rng.h"
 
 namespace cqbounds {
 namespace {
+
+/// Vertices of the bipartite circulant: 4 * 50,000 = 2x10^5 tuples.
+constexpr int kCirculantVertices = 50000;
+
+/// The circulant graph on n (even) vertices with odd offsets {1, 3}, both
+/// directions stored, under a seeded relabelling of the vertices: odd
+/// offsets join the two parity classes, so the graph is bipartite and has
+/// no triangle. The shape perfbench's churn workload re-evaluates.
+Database BipartiteCirculant(int n) {
+  std::vector<Value> label(static_cast<std::size_t>(n));
+  for (int i = 0; i < n; ++i) label[static_cast<std::size_t>(i)] = i;
+  Rng rng(10);
+  for (std::size_t i = label.size() - 1; i > 0; --i) {
+    std::swap(label[i], label[rng.NextBelow(i + 1)]);
+  }
+  Database db;
+  Relation* e = db.AddRelation("E", 2);
+  std::vector<Value> flat;
+  flat.reserve(static_cast<std::size_t>(n) * 8);
+  for (int i = 0; i < n; ++i) {
+    for (int d : {1, 3}) {
+      const Value u = label[static_cast<std::size_t>(i)];
+      const Value w = label[static_cast<std::size_t>((i + d) % n)];
+      flat.insert(flat.end(), {u, w, w, u});
+    }
+  }
+  e->InsertFlat(flat, flat.size() / 2);
+  return db;
+}
+
+Database& Bipartite50k() {
+  static Database db = BipartiteCirculant(kCirculantVertices);
+  return db;
+}
+const Query& TriangleQuery() {
+  static const Query q =
+      ParseQuery("T(X,Y,Z) :- E(X,Y), E(Y,Z), E(Z,X).").ValueOrDie();
+  return q;
+}
+EvalContext& Bipartite50kCtx() {
+  static EvalContext ctx(Bipartite50k());
+  return ctx;
+}
+
+/// Keys per seek-timer level: 2^19 values, 4 MB, wider than the L2 cache.
+constexpr std::size_t kSeekLevelKeys = std::size_t{1} << 19;
+/// Seeks per seek-timer rep.
+constexpr std::size_t kSeeksPerRep = 100000;
+
+/// Sorted distinct keys of one shape: "dense" ids, "random" 40-bit keys,
+/// two dense runs 2^50 apart ("clustered"), or "geometric" gaps that grow
+/// with the value (each 1/65536 of it).
+std::vector<Value> SeekKeys(const std::string& shape, Rng* rng) {
+  std::vector<Value> keys;
+  keys.reserve(kSeekLevelKeys);
+  Value x = 1;
+  for (std::size_t i = 0; i < kSeekLevelKeys; ++i) {
+    const auto iv = static_cast<Value>(i);
+    if (shape == "dense") {
+      keys.push_back(iv);
+    } else if (shape == "random") {
+      keys.push_back(static_cast<Value>(rng->Next() >> 24));
+    } else if (shape == "clustered") {
+      keys.push_back(i < kSeekLevelKeys / 2 ? iv : (Value{1} << 50) + iv);
+    } else {
+      keys.push_back(x);
+      x += 1 + x / 65536;
+    }
+  }
+  std::sort(keys.begin(), keys.end());
+  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+  return keys;
+}
+
+/// A seeded leapfrog walk over one trie level: each seek starts at the
+/// previous answer and targets a key (or the value just below it) a
+/// uniform 1..2*skip keys further on, restarting at the front at the end.
+struct SeekWalk {
+  TrieIndex trie;
+  std::vector<TrieIndex::Range> windows;
+  std::vector<Value> targets;
+  std::size_t answer_sum = 0;  // sum of the std::lower_bound answers
+};
+
+SeekWalk MakeSeekWalk(const std::string& shape, std::size_t skip) {
+  Rng rng(29);
+  const std::vector<Value> keys = SeekKeys(shape, &rng);
+  Relation r("K", 1);
+  r.InsertFlat(keys, keys.size());
+  SeekWalk walk{TrieIndex(r, {{0}}), {}, {}, 0};
+  const std::size_t n = keys.size();
+  std::size_t cursor = 0;
+  while (walk.targets.size() < kSeeksPerRep) {
+    const std::size_t k = cursor + 1 + rng.NextBelow(2 * skip);
+    if (k >= n) {
+      cursor = 0;
+      continue;
+    }
+    const Value target = keys[k] - static_cast<Value>(rng.Next() & 1);
+    walk.windows.push_back(TrieIndex::Range{cursor, n});
+    walk.targets.push_back(target);
+    cursor = static_cast<std::size_t>(
+        std::lower_bound(keys.begin() + static_cast<std::ptrdiff_t>(cursor),
+                         keys.end(), target) -
+        keys.begin());
+    walk.answer_sum += cursor;
+  }
+  return walk;
+}
+
+/// The walk of one seek/* timer, built on first use (PrintTables builds
+/// them all, so no timer times a build).
+const SeekWalk& CachedSeekWalk(const std::string& shape, std::size_t skip) {
+  static std::map<std::pair<std::string, std::size_t>, SeekWalk> walks;
+  auto it = walks.find({shape, skip});
+  if (it == walks.end()) {
+    it = walks.emplace(std::make_pair(shape, skip), MakeSeekWalk(shape, skip))
+             .first;
+  }
+  return it->second;
+}
+
+/// One rep of a seek/* timer; checks every answer against std::lower_bound
+/// through their sum.
+void RunSeekWalk(const std::string& shape, std::size_t skip) {
+  const SeekWalk& walk = CachedSeekWalk(shape, skip);
+  std::size_t sum = 0;
+  for (std::size_t i = 0; i < walk.targets.size(); ++i) {
+    sum += walk.trie.SeekGE(0, walk.windows[i], walk.targets[i]);
+  }
+  CQB_CHECK(sum == walk.answer_sum);
+}
+
+const char* const kSeekShapes[] = {"dense", "random", "clustered",
+                                   "geometric"};
+const std::size_t kSeekSkips[] = {32, 4096};
 
 Database ChainAdversary(int fanout) {
   // R: A->X fanout, S: X->B fan-in, T: B->Y fanout, U: Y->C fan-in.
@@ -97,9 +248,9 @@ void PrintTables() {
   auto tri_order = ChooseGenericJoinOrder(*triangle);
   std::cout << "triangle: " << tri_order->ToString(*triangle) << "\n";
 
-  auto star = ParseQuery("T(X,Y,Z) :- E(X,Y), E(Y,Z), E(Z,X).");
-  auto star_order = ChooseGenericJoinOrder(*star);
-  std::cout << "star:     " << star_order->ToString(*star) << "\n\n";
+  const Query& star = TriangleQuery();
+  auto star_order = ChooseGenericJoinOrder(star);
+  std::cout << "star:     " << star_order->ToString(star) << "\n\n";
 
   std::cout << "Chain adversary (binary plans capped at rmax^{C+1}, "
                "Cor 4.8; generic join\nat the AGM cap rmax^{rho*full}):\n";
@@ -120,7 +271,7 @@ void PrintTables() {
   bench::Table star_table({"instance", "plan", "max intermediate", "output",
                            "envelope cap", "within", "semijoin"});
   for (int n : {30, 60, 120}) {
-    AddPlanRows(&star_table, "star/" + std::to_string(n), *star,
+    AddPlanRows(&star_table, "star/" + std::to_string(n), star,
                 StarTriangleDatabase(n), star_order->envelope_exponent,
                 *star_order);
   }
@@ -144,11 +295,11 @@ void PrintTables() {
   {
     Database db = StarTriangleDatabase(120);
     EvalStats stats;
-    auto result = EvaluateGenericJoin(*star, db, star_order->order, &stats);
+    auto result = EvaluateGenericJoin(star, db, star_order->order, &stats);
     (void)result;
     for (std::size_t d = 0; d < stats.intermediate_sizes.size(); ++d) {
       vars.AddRow({bench::Num(static_cast<int>(d)),
-                   star->variable_name(star_order->order[d]),
+                   star.variable_name(star_order->order[d]),
                    bench::Num(stats.intermediate_sizes[d]),
                    d + 1 == stats.intermediate_sizes.size()
                        ? bench::Num(stats.intersection_seeks) + " total"
@@ -156,6 +307,37 @@ void PrintTables() {
     }
   }
   vars.Print();
+
+  // The triangle over churn's graph: the answer is empty, so the whole
+  // evaluation is leapfrog seeks, most of them depth-1 seeks into the
+  // 50,000-value first level of E(Y,Z).
+  std::cout << "\nGeneric-join per-variable counters (bipartite circulant, "
+            << kCirculantVertices << " vertices,\noffsets {1,3}, "
+            << Bipartite50k().Find("E")->size()
+            << " tuples, triangle-free; LP+tw chosen order):\n";
+  bench::Table bipartite({"depth", "variable", "bindings", "seeks"});
+  {
+    EvalStats stats;
+    auto result =
+        EvaluateGenericJoin(star, Bipartite50k(), star_order->order, &stats);
+    CQB_CHECK(result->empty());
+    for (std::size_t d = 0; d < stats.intermediate_sizes.size(); ++d) {
+      bipartite.AddRow({bench::Num(static_cast<int>(d)),
+                        star.variable_name(star_order->order[d]),
+                        bench::Num(stats.intermediate_sizes[d]),
+                        d + 1 == stats.intermediate_sizes.size()
+                            ? bench::Num(stats.intersection_seeks) + " total"
+                            : "-"});
+    }
+  }
+  bipartite.Print();
+  // Warm the timer's context here, so its trie builds are not timed.
+  CQB_CHECK(EvaluateQuery(TriangleQuery(), Bipartite50k(),
+                          PlanKind::kGenericJoin, &Bipartite50kCtx(), nullptr)
+                ->empty());
+  for (const char* shape : kSeekShapes) {
+    for (std::size_t skip : kSeekSkips) CachedSeekWalk(shape, skip);
+  }
 
   std::cout << "\nShape check: naive intermediates scale with fanout^2 on\n"
                "the chain, where the join-project plan stays linear within\n"
@@ -197,6 +379,26 @@ CQB_BENCH_TIMED("star120/generic_join", [] {
   Database db = StarTriangleDatabase(120);
   EvaluateQuery(*q, db, PlanKind::kGenericJoin).ValueOrDie();
 })
+
+// Warm context: both tries are cache hits, so this times the leapfrog.
+CQB_BENCH_TIMED("bipartite50k/generic_join", [] {
+  CQB_CHECK(EvaluateQuery(TriangleQuery(), Bipartite50k(),
+                          PlanKind::kGenericJoin, &Bipartite50kCtx(), nullptr)
+                ->empty());
+})
+
+// 10^5 leapfrog seeks per rep over 2^19 keys of each shape, mean skip
+// ~32 and ~4096 keys.
+CQB_BENCH_TIMED("seek/dense/skip32", [] { RunSeekWalk("dense", 32); })
+CQB_BENCH_TIMED("seek/dense/skip4096", [] { RunSeekWalk("dense", 4096); })
+CQB_BENCH_TIMED("seek/random/skip32", [] { RunSeekWalk("random", 32); })
+CQB_BENCH_TIMED("seek/random/skip4096", [] { RunSeekWalk("random", 4096); })
+CQB_BENCH_TIMED("seek/clustered/skip32", [] { RunSeekWalk("clustered", 32); })
+CQB_BENCH_TIMED("seek/clustered/skip4096",
+                [] { RunSeekWalk("clustered", 4096); })
+CQB_BENCH_TIMED("seek/geometric/skip32", [] { RunSeekWalk("geometric", 32); })
+CQB_BENCH_TIMED("seek/geometric/skip4096",
+                [] { RunSeekWalk("geometric", 4096); })
 
 CQB_BENCH_TIMED("triangle_wc16/generic_join", [] {
   auto q = ParseQuery("S(X,Y,Z) :- R(X,Y), R(X,Z), R(Y,Z).");

@@ -1,6 +1,7 @@
 #include "cq/parser.h"
 
 #include <cctype>
+#include <limits>
 #include <vector>
 
 namespace cqbounds {
@@ -78,15 +79,22 @@ class Parser {
   Result<int> ParseNumber() {
     SkipSpace();
     std::size_t start = pos_;
+    int value = 0;
     while (pos_ < text_.size() &&
            std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
+      const int digit = text_[pos_] - '0';
+      if (value > (std::numeric_limits<int>::max() - digit) / 10) {
+        return Status::ParseError("number too large at offset " +
+                                  std::to_string(start));
+      }
+      value = value * 10 + digit;
       ++pos_;
     }
     if (pos_ == start) {
       return Status::ParseError("expected number at offset " +
                                 std::to_string(pos_));
     }
-    return std::stoi(text_.substr(start, pos_ - start));
+    return value;
   }
 
   /// relation(var, var, ...) -- interning variables into `query`.

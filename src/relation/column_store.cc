@@ -273,18 +273,26 @@ ColumnStore::EraseResult ColumnStore::Erase(const Tuple& t,
 }
 
 void ColumnStore::Compact() {
+  // Re-intern the live rows' values into a fresh dictionary, in row order,
+  // while moving their codes down: the codes of values whose rows all died
+  // go with them, so the dictionary stays bounded by the live set. `remap`
+  // carries each old code to its new one (kNoCode until first seen).
+  ValueDictionary fresh;
+  std::vector<std::uint32_t> remap(dict_.size(), ValueDictionary::kNoCode);
   std::size_t write = 0;
   for (std::size_t row = 0; row < rows_; ++row) {
     if (!IsLive(row)) continue;
-    if (write != row) {
-      for (int c = 0; c < arity_; ++c) {
-        std::vector<std::uint32_t>& col =
-            columns_[static_cast<std::size_t>(c)];
-        col[write] = col[row];
+    for (int c = 0; c < arity_; ++c) {
+      std::vector<std::uint32_t>& col = columns_[static_cast<std::size_t>(c)];
+      std::uint32_t& code = remap[col[row]];
+      if (code == ValueDictionary::kNoCode) {
+        code = fresh.Intern(dict_.ValueOf(col[row]));
       }
+      col[write] = code;
     }
     ++write;
   }
+  dict_ = std::move(fresh);
   for (auto& col : columns_) col.resize(write);
   rows_ = write;
   dead_.clear();
@@ -296,6 +304,7 @@ void ColumnStore::Compact() {
 }
 
 void ColumnStore::Clear() {
+  dict_ = ValueDictionary();
   for (auto& col : columns_) col.clear();
   rows_ = 0;
   dead_.clear();

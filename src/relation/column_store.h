@@ -73,11 +73,14 @@ class ValueDictionary {
 /// it by row id. Dead rows keep their codes readable (CodeAt/ValueAt still
 /// work) until the store *compacts* -- a deferred structural pass triggered
 /// when more than a quarter of the physical rows are dead -- which rewrites
-/// the columns over the live rows, rebuilds the index, and invalidates all
-/// row ids. size() stays the PHYSICAL row count (columns, row-id ranges);
-/// live_size()/empty() are the logical set. A tombstoned tuple re-appended
-/// later gets a NEW physical row id (ids never resurrect), and the row
-/// index always points at the newest row for a code-set.
+/// the columns over the live rows, re-codes them against a fresh
+/// dictionary of the live values (so the dictionary never outgrows the
+/// live set by more than one compaction epoch), rebuilds the index, and
+/// invalidates all row ids and codes. size() stays the PHYSICAL row count
+/// (columns, row-id ranges); live_size()/empty() are the logical set. A
+/// tombstoned tuple re-appended later gets a NEW physical row id (ids never
+/// resurrect), and the row index always points at the newest row for a
+/// code-set.
 ///
 /// Rows are grouped into *segments*: segment 0 is the base (the rows present
 /// as of the last structural mutation) and every bulk append seals one new
@@ -99,8 +102,8 @@ class ColumnStore {
   };
 
   /// What Erase did. kTombstoned leaves row ids stable (delta-friendly);
-  /// kCompacted means the deferred compaction ran -- row ids shifted and
-  /// the segment list collapsed, a structural mutation.
+  /// kCompacted means the deferred compaction ran -- row ids and codes
+  /// shifted and the segment list collapsed, a structural mutation.
   enum class EraseResult { kNotFound, kTombstoned, kCompacted };
 
   explicit ColumnStore(int arity);
@@ -171,14 +174,13 @@ class ColumnStore {
   /// ids stable, the open-addressing index untouched. When the tombstone
   /// pushes the dead fraction past the compaction threshold (dead rows >
   /// 1/4 of physical rows) the store compacts instead -- O(size * arity),
-  /// row ids shift, segments collapse -- and reports kCompacted so the
-  /// journal above can record the structural break. On kTombstoned,
+  /// row ids and codes shift, segments collapse -- and reports kCompacted
+  /// so the journal above can record the structural break. On kTombstoned,
   /// `*removed_row` (when non-null) receives the tombstoned row id.
   EraseResult Erase(const Tuple& t, std::uint32_t* removed_row = nullptr);
 
-  /// Drops all rows, live and dead (structural). The dictionary survives:
-  /// codes are never recycled, so a long-lived store's dictionary is
-  /// append-only.
+  /// Drops all rows, live and dead, and the dictionary with them
+  /// (structural).
   void Clear();
 
   const ValueDictionary& dict() const { return dict_; }
@@ -205,9 +207,11 @@ class ColumnStore {
   /// Rebuilds the slot table at `capacity` (a power of two) from the live
   /// rows; tombstoned rows end up unindexed.
   void ReindexInto(std::size_t capacity);
-  /// Deferred structural pass: copies the live rows down in order, drops
+  /// Deferred structural pass: copies the live rows down in order,
+  /// re-interning their values into a fresh dictionary (so it holds exactly
+  /// the live rows' distinct values, coded in first-seen row order), drops
   /// the tombstone bitmap, rebuilds the index, collapses segments to one
-  /// base segment. Row ids shift.
+  /// base segment. Row ids and codes change.
   void Compact();
   /// Probes and appends one coded row; true iff it was new. Does not touch
   /// segments (callers manage segment boundaries).

@@ -52,37 +52,40 @@ std::size_t ValuePool::ProbeSlot(std::string_view spelling,
   std::size_t slot = static_cast<std::size_t>(hash) & mask;
   for (;; slot = (slot + 1) & mask) {
     const std::uint32_t id = slots_[slot];
-    if (id == kNoId) return slot;
-    if (hashes_[id] == hash &&
-        SpellingView(static_cast<Value>(id)) == spelling) {
+    if (id == kNoId || SpellingView(static_cast<Value>(id)) == spelling) {
       return slot;
     }
   }
 }
 
-void ValuePool::Grow() {
-  slots_.assign(slots_.empty() ? 16 : slots_.size() * 2, kNoId);
-  const std::size_t mask = slots_.size() - 1;
-  for (std::size_t id = 0; id < hashes_.size(); ++id) {
+void ValuePool::RebuildSlots(std::size_t slot_count) {
+  std::vector<std::uint32_t>().swap(slots_);
+  slots_.assign(slot_count, kNoId);
+  const std::size_t mask = slot_count - 1;
+  for (std::size_t id = 0; id < size(); ++id) {
     // Interned spellings are distinct: probe straight to the first free slot.
-    std::size_t slot = static_cast<std::size_t>(hashes_[id]) & mask;
+    std::size_t slot =
+        static_cast<std::size_t>(
+            HashSpelling(SpellingView(static_cast<Value>(id)))) &
+        mask;
     while (slots_[slot] != kNoId) slot = (slot + 1) & mask;
     slots_[slot] = static_cast<std::uint32_t>(id);
   }
 }
 
 Value ValuePool::Intern(std::string_view spelling) {
-  // Keep load factor under 1/2, counting the spelling about to be minted.
-  if ((size() + 1) * 2 > slots_.size()) Grow();
-  const std::uint64_t hash = HashSpelling(spelling);
-  const std::size_t slot = ProbeSlot(spelling, hash);
+  // Keep the table under 2/3 full, counting the spelling about to be
+  // minted; start at 16 slots and double.
+  if ((size() + 1) * 3 > slots_.size() * 2) {
+    RebuildSlots(slots_.empty() ? 16 : slots_.size() * 2);
+  }
+  const std::size_t slot = ProbeSlot(spelling, HashSpelling(spelling));
   if (slots_[slot] != kNoId) return static_cast<Value>(slots_[slot]);
   CQB_CHECK(size() < kNoId);
   const auto id = static_cast<std::uint32_t>(size());
   slots_[slot] = id;
   arena_.append(spelling);
   offsets_.push_back(arena_.size());
-  hashes_.push_back(hash);
   return static_cast<Value>(id);
 }
 
@@ -91,14 +94,7 @@ void ValuePool::Truncate(std::size_t size) {
   if (size == this->size()) return;
   arena_.resize(offsets_[size]);
   offsets_.resize(size + 1);
-  hashes_.resize(size);
-  const std::size_t mask = slots_.size() - 1;
-  slots_.assign(slots_.size(), kNoId);
-  for (std::size_t id = 0; id < size; ++id) {
-    std::size_t slot = static_cast<std::size_t>(hashes_[id]) & mask;
-    while (slots_[slot] != kNoId) slot = (slot + 1) & mask;
-    slots_[slot] = static_cast<std::uint32_t>(id);
-  }
+  RebuildSlots(slots_.size());
 }
 
 std::string ValuePool::Spelling(Value id) const {

@@ -34,7 +34,7 @@ class ValuePool {
   /// copied, so `spelling` need not outlive the call.
   Value Intern(std::string_view spelling);
   /// Forgets every spelling with id >= `size` (requires size <= size()):
-  /// the arena is cut and the slot table rebuilt from the cached hashes,
+  /// the arena is cut and the slot table rebuilt from the kept spellings,
   /// so the next Intern of a new spelling mints id `size` again. Values
   /// holding a forgotten id must not outlive the call.
   void Truncate(std::size_t size);
@@ -48,7 +48,7 @@ class ValuePool {
     return std::string_view(arena_).substr(offsets_[i],
                                            offsets_[i + 1] - offsets_[i]);
   }
-  std::size_t size() const { return hashes_.size(); }
+  std::size_t size() const { return offsets_.size() - 1; }
 
  private:
   /// Free-slot sentinel, and the bound on the id space: a pool holds fewer
@@ -58,17 +58,17 @@ class ValuePool {
   /// Slot holding `spelling`'s id, or the free slot where it would go.
   /// Requires a non-empty slot table.
   std::size_t ProbeSlot(std::string_view spelling, std::uint64_t hash) const;
-  /// Doubles the slot table (16 slots at first) and re-inserts every id
-  /// by its cached hash.
-  void Grow();
+  /// Builds a slot table of `slot_count` slots (a power of two) over every
+  /// id, hashing each spelling again from the arena. The old table is
+  /// freed first, so a rebuild never holds two tables at once.
+  void RebuildSlots(std::size_t slot_count);
 
   /// Every spelling, concatenated in id order.
   std::string arena_;
   /// size() + 1 entries: id i's spelling starts at offsets_[i].
   std::vector<std::size_t> offsets_{0};
-  /// Cached hash of each id's spelling.
-  std::vector<std::uint64_t> hashes_;
-  /// Open-addressing index: slot -> id, kNoId when free.
+  /// Open-addressing index: slot -> id, kNoId when free. Held under 2/3
+  /// full.
   std::vector<std::uint32_t> slots_;
 };
 

@@ -389,8 +389,9 @@ bool RunPartitionedDepth0(const GenericJoinSearch& proto, ThreadPool* pool,
       const Value v = matches[i];
       ws.assignment[order[0]] = v;
       for (int a : atoms0) {
-        // Re-locate the match in this atom's root range (galloping, so
-        // O(log) per atom -- the only duplicated work of the fan-out).
+        // Re-locate the match in this atom's root range (one wide-tier
+        // SeekGE, O(log) per atom and a few probes on dense ids -- the
+        // only duplicated work of the fan-out).
         const std::size_t pos = ws.tries[a]->SeekGE(0, ws.range_stack[a][0], v);
         ++ws.stats->intersection_seeks;
         ws.range_stack[a].push_back(ws.tries[a]->ChildRange(0, pos));

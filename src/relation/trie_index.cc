@@ -336,8 +336,8 @@ TrieIndex::TrieIndex(const TrieIndex& base, const RowView& appended,
   };
 
   // One pass over the merged delta streams. Each distinct delta key is
-  // located in the base by a binary search per level inside its parent's
-  // child range; below the first level where it is absent, its nodes are
+  // located in the base by one SeekGE per level inside its parent's child
+  // range; below the first level where it is absent, its nodes are
   // new and sit before the base children of the node they precede.
   std::size_t ai = 0;
   std::size_t si = 0;
@@ -364,12 +364,7 @@ TrieIndex::TrieIndex(const TrieIndex& base, const RowView& appended,
       const Level& level = base.levels_[static_cast<std::size_t>(l)];
       std::size_t pos = lo;
       if (absent == depth) {
-        const auto first = level.values.begin();
-        pos = static_cast<std::size_t>(
-            std::lower_bound(first + static_cast<std::ptrdiff_t>(lo),
-                             first + static_cast<std::ptrdiff_t>(hi),
-                             UnbiasKey(key[l])) -
-            first);
+        pos = base.SeekGE(l, Range{lo, hi}, UnbiasKey(key[l]));
         if (pos == hi || level.values[pos] != UnbiasKey(key[l])) absent = l;
       }
       where[static_cast<std::size_t>(l)] = pos;
@@ -478,21 +473,41 @@ TrieIndex::TrieIndex(const TrieIndex& base, const RowView& appended,
   if (explicit_counts) SetCounts(std::move(counts));
 }
 
-std::size_t TrieIndex::SeekGE(int level, Range r, Value v) const {
-  const std::vector<Value>& vals = levels_[level].values;
-  if (r.empty() || vals[r.begin] >= v) return r.begin;
-  // Gallop from the current position, then binary-search the final window.
-  std::size_t lo = r.begin;
+std::size_t TrieIndex::SeekWide(const Value* vals, std::size_t lo,
+                                std::size_t end, Value v) {
+  std::size_t hi = end - 1;
+  if (vals[hi] < v) return end;
+  // Interpolate under vals[lo] < v <= vals[hi]. The differences are exact
+  // in uint64 (vals[hi] > vals[lo]) and their quotient lies in (0, 1], so
+  // no pair of int64 values can overflow the guess or divide by zero, and
+  // the guess lies in [lo + 1, hi].
+  const auto base = static_cast<std::uint64_t>(vals[lo]);
+  const double rise = static_cast<double>(static_cast<std::uint64_t>(v) - base);
+  const double span =
+      static_cast<double>(static_cast<std::uint64_t>(vals[hi]) - base);
+  std::size_t guess =
+      lo + static_cast<std::size_t>(rise / span * static_cast<double>(hi - lo));
+  guess = std::min(std::max(guess, lo + 1), hi);
+  // Gallop from the guess toward the answer, keeping vals[lo] < v <=
+  // vals[hi], until the answer lies in (lo, hi] within one doubling.
   std::size_t step = 1;
-  while (lo + step < r.end && vals[lo + step] < v) {
-    lo += step;
-    step <<= 1;
+  if (vals[guess] < v) {
+    lo = guess;
+    while (lo + step < hi && vals[lo + step] < v) {
+      lo += step;
+      step <<= 1;
+    }
+    hi = std::min(lo + step, hi);
+  } else {
+    hi = guess;
+    while (hi - lo > step && vals[hi - step] >= v) {
+      hi -= step;
+      step <<= 1;
+    }
+    if (hi - lo > step) lo = hi - step;
   }
-  const std::size_t hi = std::min(lo + step + 1, r.end);
   return static_cast<std::size_t>(
-      std::lower_bound(vals.begin() + static_cast<std::ptrdiff_t>(lo),
-                       vals.begin() + static_cast<std::ptrdiff_t>(hi), v) -
-      vals.begin());
+      std::lower_bound(vals + lo + 1, vals + hi, v) - vals);
 }
 
 }  // namespace cqbounds

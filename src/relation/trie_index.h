@@ -15,7 +15,7 @@ namespace cqbounds {
 /// benches and tests. `radix_builds` counts from-scratch builds (Relation and
 /// RowView constructors), `merge_builds` counts delta-constructor splices.
 /// `delta_keys_compared` counts the distinct delta keys the delta
-/// constructor locates in its base (one binary-search descent each); the
+/// constructor locates in its base (one SeekGE descent each); the
 /// untouched runs it bulk-copies are not counted, so at a fixed delta it
 /// stays flat however large the base grows. `tuple_materializations` is a
 /// tripwire: it counts per-tuple heap `Tuple` objects created during trie
@@ -37,10 +37,11 @@ TrieBuildStats GetTrieBuildStats();
 /// Level l of the trie holds the distinct values of the atom's l-th key
 /// variable, grouped under their level-(l-1) parent and sorted within each
 /// group, so a node's children form a contiguous sorted range that supports
-/// galloping `SeekGE` -- the primitive the leapfrog intersection loop is
-/// built on. The key variables (and hence the column permutation) are chosen
-/// by the caller to follow one global variable order shared by every atom of
-/// the query; see docs/EVALUATION.md.
+/// `SeekGE` -- the one search primitive of the trie layer: the leapfrog
+/// intersection loop and the delta constructor are both built on it. The
+/// key variables (and hence the column permutation) are chosen by the
+/// caller to follow one global variable order shared by every atom of the
+/// query; see docs/EVALUATION.md.
 ///
 /// Storage is flat vectors per level (value, first-child offset), not
 /// pointer-chased nodes. Construction reads key columns straight out of the
@@ -94,7 +95,7 @@ class TrieIndex {
   /// both delta sides, mirroring what the base build did. Cost is
   /// O(k log n) work plus one bulk copy, for k = |appended| + |removed|
   /// and n = |base|: the delta rows are sorted, each distinct delta key is
-  /// located by a binary search per level inside its parent's child range,
+  /// located by one SeekGE per level inside its parent's child range,
   /// and the level arrays are spliced -- the untouched runs of values,
   /// first-child offsets and support counts are copied whole, offsets
   /// shifted by the running child-count change, and only the edited nodes
@@ -131,12 +132,43 @@ class TrieIndex {
     return Range{begins[idx], begins[idx + 1]};
   }
 
-  /// First index in [r.begin, r.end) whose value is >= v, or r.end if none.
-  /// Galloping search: O(log gap), so a full leapfrog intersection costs
-  /// O(sum of log-sized jumps), not a linear merge.
-  std::size_t SeekGE(int level, Range r, Value v) const;
+  /// First index in [r.begin, r.end) whose value is >= v, or r.end if none
+  /// -- the leapfrog's unit of work. Two tiers. The inline tier answers an
+  /// empty range or a first value already at `v`, then scans forward
+  /// through at most one cache line (kSeekLine values); most leapfrog
+  /// seeks land there. Only an answer past that line calls SeekWide, which
+  /// checks the last value, makes one interpolation probe and gallops from
+  /// it toward the answer. A seek costs O(log d) probes, where d is the
+  /// distance from that probe to the answer: a few probes on keys spread
+  /// near-uniformly over the range (dense value-pool ids, random keys),
+  /// O(log gap) from the cursor plus the probe's overhead when the keys
+  /// near the cursor are denser than the range's average (geometric gaps),
+  /// and O(log n) plus a constant on any value distribution. Levels hold
+  /// the caller's decoded Values, so which case applies depends on them.
+  std::size_t SeekGE(int level, Range r, Value v) const {
+    const Value* vals = levels_[static_cast<std::size_t>(level)].values.data();
+    if (r.empty() || vals[r.begin] >= v) return r.begin;
+    const std::size_t line_end =
+        r.end - r.begin > kSeekLine ? r.begin + kSeekLine : r.end;
+    for (std::size_t i = r.begin + 1; i < line_end; ++i) {
+      if (vals[i] >= v) return i;
+    }
+    if (line_end == r.end) return r.end;
+    return SeekWide(vals, line_end - 1, r.end, v);
+  }
 
  private:
+  /// Values the inline tier of SeekGE scans: 64 bytes, one cache line's
+  /// worth.
+  static constexpr std::size_t kSeekLine = 8;
+  /// SeekGE's out-of-line tier: the first index in (lo, end) whose value is
+  /// >= v, or `end`, given vals[lo] < v and end - lo >= 2. Checks the last
+  /// value, interpolates one probe between vals[lo] and it, then gallops
+  /// from the probe (forward if it is below v, backward otherwise) and
+  /// binary-searches the last doubling.
+  static std::size_t SeekWide(const Value* vals, std::size_t lo,
+                              std::size_t end, Value v);
+
   struct Level {
     /// Node keys, grouped by parent, sorted within each group.
     std::vector<Value> values;

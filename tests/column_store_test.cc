@@ -285,6 +285,68 @@ TEST(ColumnStoreTest, CompactionTriggersPastTheQuarterDeadThreshold) {
   EXPECT_TRUE(store.Append({4}));
 }
 
+TEST(ColumnStoreTest, CompactionShrinksTheDictionaryToTheLiveValues) {
+  // Churn that mints fresh values every round (as a log of new ids would):
+  // without dictionary compaction the codes of values whose rows all died
+  // would live forever. After every compaction the dictionary holds exactly
+  // the live rows' distinct values, every row reads back unchanged and in
+  // order, and the re-coded store still serves membership, dedup and
+  // repeated-value code equality.
+  ColumnStore store(3);
+  std::vector<Tuple> rows;  // physical rows, mirrored
+  std::vector<bool> live;
+  Rng rng(23);
+  Value fresh = 0;
+  int compactions = 0;
+  for (int round = 0; round < 60; ++round) {
+    for (int k = 0; k < 40; ++k) {
+      // A fresh value, a small shared pool, and the fresh value repeated.
+      Tuple t = {fresh, Value(rng.NextBelow(16)) - 8, fresh};
+      ++fresh;
+      ASSERT_TRUE(store.Append(t));
+      rows.push_back(t);
+      live.push_back(true);
+    }
+    for (int k = 0; k < 30; ++k) {
+      std::size_t victim = rng.NextBelow(rows.size());
+      while (!live[victim]) victim = (victim + 1) % rows.size();
+      const ColumnStore::EraseResult erased = store.Erase(rows[victim]);
+      ASSERT_NE(erased, ColumnStore::EraseResult::kNotFound);
+      live[victim] = false;
+      if (erased != ColumnStore::EraseResult::kCompacted) continue;
+      ++compactions;
+      std::vector<Tuple> kept;
+      for (std::size_t i = 0; i < rows.size(); ++i) {
+        if (live[i]) kept.push_back(rows[i]);
+      }
+      rows = kept;
+      live.assign(rows.size(), true);
+      std::set<Value> distinct;
+      for (const Tuple& t : rows) distinct.insert(t.begin(), t.end());
+      ASSERT_EQ(store.dict().size(), distinct.size());
+      ASSERT_EQ(store.size(), rows.size());
+      for (std::size_t i = 0; i < rows.size(); ++i) {
+        ASSERT_EQ(store.Row(i), rows[i]);
+        ASSERT_EQ(store.CodeAt(i, 0), store.CodeAt(i, 2));
+        ASSERT_TRUE(store.Contains(rows[i]));
+        ASSERT_FALSE(store.Append(rows[i]));
+      }
+      // A value whose rows all died has no code any more.
+      for (Value v = 0; v < fresh; ++v) {
+        ASSERT_EQ(store.dict().CodeOf(v) != ValueDictionary::kNoCode,
+                  distinct.count(v) == 1)
+            << v;
+      }
+    }
+  }
+  EXPECT_GE(compactions, 5);
+  // Clear drops the dictionary with the rows.
+  store.Clear();
+  EXPECT_EQ(store.dict().size(), 0u);
+  EXPECT_TRUE(store.Append({1, 2, 1}));
+  EXPECT_EQ(store.dict().size(), 2u);
+}
+
 TEST(ColumnStoreTest, ClearOnAlreadyEmptyStoreIsIdempotent) {
   ColumnStore store(2);
   store.Clear();

@@ -1,10 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cctype>
+#include <string>
+#include <vector>
+
 #include "cq/chase.h"
 #include "cq/parser.h"
 #include "cq/query.h"
 #include "relation/evaluate.h"
 #include "relation/generator.h"
+#include "util/rng.h"
 
 namespace cqbounds {
 namespace {
@@ -63,6 +69,161 @@ TEST(ParserTest, RoundTripThroughToString) {
   auto second = ParseQuery(first->ToString());
   ASSERT_TRUE(second.ok()) << second.status() << " for " << first->ToString();
   EXPECT_EQ(first->ToString(), second->ToString());
+}
+
+/// Splits query text into the parser's tokens -- identifiers, numbers,
+/// the multi-byte operators and single bytes -- keeping whitespace and
+/// comments as tokens of their own, so joining the tokens restores the text.
+std::vector<std::string> QueryTokens(const std::string& text) {
+  std::vector<std::string> tokens;
+  std::size_t i = 0;
+  const auto word = [&text](std::size_t at) {
+    return at < text.size() &&
+           (std::isalnum(static_cast<unsigned char>(text[at])) ||
+            text[at] == '_' || text[at] == '\'');
+  };
+  while (i < text.size()) {
+    std::size_t j = i + 1;
+    if (word(i)) {
+      while (word(j)) ++j;
+    } else if (text.compare(i, 2, ":-") == 0 || text.compare(i, 2, "->") == 0) {
+      j = i + 2;
+    } else if (text[i] == '#') {
+      while (j < text.size() && text[j] != '\n') ++j;
+    }
+    tokens.push_back(text.substr(i, j - i));
+    i = j;
+  }
+  return tokens;
+}
+
+/// One to four random edits of `seed`: at the grammar level (tokens and
+/// token runs deleted, duplicated, moved or replaced by other tokens of
+/// the language) or at the byte level (bytes overwritten, inserted or
+/// erased, the text cut short).
+std::string MutateQuery(const std::string& seed, Rng* rng) {
+  static const std::vector<std::string> kTokens = {
+      "X", "Y", "Z", "W'", "_v", "R", "S", "Q", "fd", "key", "(", ")", ",",
+      ".", ":", ":-", "->", " ", "\n", "# c\n", "0", "1", "2", "3", "10",
+      "2147483647", "2147483648", "99999999999999999999", "R(X,Y)", "()"};
+  static const char kByteList[] = "():-,.>#_'\n\t 0129AZaz\x01\x7f\xff";
+  // The listed bytes and NUL.
+  static const std::string kBytes(kByteList, sizeof(kByteList));
+  std::vector<std::string> tokens = QueryTokens(seed);
+  const int edits = 1 + static_cast<int>(rng->NextBelow(4));
+  for (int e = 0; e < edits; ++e) {
+    const std::size_t n = tokens.size();
+    const std::size_t at = rng->NextBelow(n + 1);
+    const std::size_t len = 1 + rng->NextBelow(6);
+    switch (rng->NextBelow(8)) {
+      case 0:  // delete a token run
+        if (at < n) {
+          tokens.erase(tokens.begin() + static_cast<std::ptrdiff_t>(at),
+                       tokens.begin() +
+                           static_cast<std::ptrdiff_t>(std::min(n, at + len)));
+        }
+        break;
+      case 1: {  // copy a token run elsewhere
+        if (at >= n) break;
+        const std::vector<std::string> run(
+            tokens.begin() + static_cast<std::ptrdiff_t>(at),
+            tokens.begin() +
+                static_cast<std::ptrdiff_t>(std::min(n, at + len)));
+        const std::size_t to = rng->NextBelow(n + 1);
+        tokens.insert(tokens.begin() + static_cast<std::ptrdiff_t>(to),
+                      run.begin(), run.end());
+        break;
+      }
+      case 2:  // swap two tokens
+        if (n > 0) {
+          std::swap(tokens[rng->NextBelow(n)], tokens[rng->NextBelow(n)]);
+        }
+        break;
+      case 3:  // replace a token
+        if (at < n) tokens[at] = kTokens[rng->NextBelow(kTokens.size())];
+        break;
+      case 4:  // insert a token
+        tokens.insert(tokens.begin() + static_cast<std::ptrdiff_t>(at),
+                      kTokens[rng->NextBelow(kTokens.size())]);
+        break;
+      default: {  // byte-level edit of the joined text
+        std::string text;
+        for (const std::string& t : tokens) text += t;
+        const std::size_t b = rng->NextBelow(text.size() + 1);
+        switch (rng->NextBelow(4)) {
+          case 0:
+            if (b < text.size()) {
+              text[b] = static_cast<char>(rng->NextBelow(256));
+            }
+            break;
+          case 1:
+            text.insert(b, 1, kBytes[rng->NextBelow(kBytes.size())]);
+            break;
+          case 2:
+            if (b < text.size()) text.erase(b, 1 + rng->NextBelow(3));
+            break;
+          default:
+            text.resize(b);
+            break;
+        }
+        tokens = QueryTokens(text);
+        break;
+      }
+    }
+  }
+  std::string text;
+  for (const std::string& t : tokens) text += t;
+  return text;
+}
+
+TEST(ParserMutationTest, MutantsAreRejectedOrRoundTrip) {
+  // Query text is outside input: a mutant must come back as an error
+  // Status, or parse into a query that prints, re-parses and prints the
+  // same text again. It must never crash or hang.
+  const std::vector<std::string> seeds = {
+      "S(X,Y,Z) :- R(X,Y), R(X,Z), R(Y,Z).",
+      "Q(X,Y) :- R(X,Y,Z), S(X,Y).\nfd R: 1 -> 2.\nfd R: 1,2 -> 3.\n"
+      "key S: 1.",
+      "# a comment\n  P(A) :-  E( A , B' ), E(B', _c). # inline\n",
+      "B() :- R(), T(X, X).  key T: 2.",
+  };
+  constexpr int kMutantsPerSeed = 4000;
+  Rng rng(606);
+  for (std::size_t s = 0; s < seeds.size(); ++s) {
+    ASSERT_TRUE(ParseQuery(seeds[s]).ok()) << seeds[s];
+    int accepted = 0;
+    for (int m = 0; m < kMutantsPerSeed; ++m) {
+      const std::string mutant = MutateQuery(seeds[s], &rng);
+      const Result<Query> parsed = ParseQuery(mutant);
+      if (!parsed.ok()) continue;
+      ++accepted;
+      const std::string text = parsed->ToString();
+      const Result<Query> again = ParseQuery(text);
+      ASSERT_TRUE(again.ok()) << "seed " << s << " mutant " << m << ": "
+                              << mutant << "\nprints " << text
+                              << "\nwhich fails: " << again.status();
+      ASSERT_EQ(again->ToString(), text)
+          << "seed " << s << " mutant " << m << ": " << mutant;
+    }
+    // Both outcomes are exercised: most mutants are malformed, but a few
+    // percent parse and go through the round trip.
+    EXPECT_GT(accepted, kMutantsPerSeed / 100) << "seed " << s;
+    EXPECT_LT(accepted, kMutantsPerSeed / 2) << "seed " << s;
+  }
+}
+
+TEST(ParserTest, RejectsOverlongPositions) {
+  // Positions too large for an int are a parse error, not an exception.
+  for (const char* text :
+       {"S(X) :- R(X). fd R: 99999999999 -> 1.",
+        "S(X) :- R(X). key R: 2147483648.",
+        "S(X) :- R(X). fd R: 1 -> 99999999999999999999999."}) {
+    const Result<Query> q = ParseQuery(text);
+    ASSERT_FALSE(q.ok()) << text;
+    EXPECT_EQ(q.status().code(), StatusCode::kParseError) << text;
+  }
+  // The largest int still parses as a number (and fails validation).
+  EXPECT_FALSE(ParseQuery("S(X) :- R(X). key R: 2147483647.").ok());
 }
 
 TEST(QueryTest, DerivedVariableFds) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <limits>
 #include <set>
 
 #include "core/color_number.h"
@@ -309,6 +310,152 @@ TEST(TrieIndexTest, SeekGallopsWithinRange) {
   // Seeks respect the range's start (mid-descent subranges).
   TrieIndex::Range tail{4, root.end};
   EXPECT_EQ(trie.ValueAt(0, trie.SeekGE(0, tail, 3)), 11);
+}
+
+/// Sorted distinct values of one shape for the SeekGE property test.
+std::vector<Value> SeekTestValues(int shape, std::size_t n, Rng* rng) {
+  constexpr Value kMin = std::numeric_limits<Value>::min();
+  constexpr Value kMax = std::numeric_limits<Value>::max();
+  std::vector<Value> v;
+  switch (shape) {
+    case 0:  // dense dictionary ids
+      for (std::size_t i = 0; i < n; ++i) v.push_back(1000 + Value(i));
+      break;
+    case 1:  // random sparse ids
+      while (v.size() < n) {
+        v.push_back(rng->NextInRange(-(1LL << 40), 1LL << 40));
+      }
+      break;
+    case 2:  // two dense runs far apart
+      for (std::size_t i = 0; i < n; ++i) {
+        v.push_back(i < n / 2 ? Value(i) : (1LL << 50) + Value(i));
+      }
+      break;
+    case 3: {  // geometric spacing: gaps grow with the value
+      Value x = 1;
+      for (std::size_t i = 0; i < n; ++i, x += 1 + x / 1024) v.push_back(x);
+      break;
+    }
+    default:  // negatives and both ends of the int64 range
+      for (std::size_t i = 0; i < n / 4; ++i) {
+        v.push_back(kMin + 1 + Value(i));
+        v.push_back(kMax - Value(i));
+        v.push_back(-Value(rng->NextBelow(1u << 20)));
+        v.push_back(kMin + 1 + Value(rng->NextBelow(1ull << 62)));
+      }
+      break;
+  }
+  std::sort(v.begin(), v.end());
+  v.erase(std::unique(v.begin(), v.end()), v.end());
+  return v;
+}
+
+TEST(TrieIndexTest, SeekGEMatchesLowerBound) {
+  // Every SeekGE answer equals std::lower_bound over the same window, on
+  // value shapes that defeat interpolation (clusters, geometric gaps, the
+  // int64 extremes) as well as the dense ids it is built for, for windows
+  // on both sides of the inline tier's cache line.
+  constexpr Value kMin = std::numeric_limits<Value>::min();
+  constexpr Value kMax = std::numeric_limits<Value>::max();
+  const std::size_t kSizes[] = {0, 1, 7, 8, 9, 63, 64, 65, 10000};
+  Rng rng(17);
+  std::size_t cases = 0;
+  std::size_t mismatches = 0;  // reported once, counted always
+  for (int shape = 0; shape < 5; ++shape) {
+    const std::vector<Value> values = SeekTestValues(shape, 20000, &rng);
+    ASSERT_GE(values.size(), 10000u + 65u);
+    // Level 1 of a two-level trie: one parent per window size, each over
+    // a contiguous run of `values` (so child ranges keep the shape); the
+    // last parent spans everything.
+    Relation r("R", 2);
+    std::vector<std::vector<Value>> children;
+    for (std::size_t size : kSizes) {
+      const std::size_t count = std::max<std::size_t>(size, 1);
+      const std::size_t first = rng.NextBelow(values.size() - count + 1);
+      children.emplace_back(values.begin() + first,
+                            values.begin() + first + count);
+    }
+    children.push_back(values);
+    for (std::size_t p = 0; p < children.size(); ++p) {
+      for (Value c : children[p]) r.Insert({Value(p), c});
+    }
+    TrieIndex trie(r, {{0}, {1}});
+    ASSERT_EQ(trie.RootRange().size(), children.size());
+    std::vector<std::vector<Value>> level(2);
+    for (int l = 0; l < 2; ++l) {
+      const std::size_t n = l == 0 ? children.size() : r.size();
+      for (std::size_t i = 0; i < n; ++i) {
+        level[l].push_back(trie.ValueAt(l, i));
+      }
+    }
+
+    const auto check = [&](int l, TrieIndex::Range w, Value target) {
+      const std::vector<Value>& vals = level[static_cast<std::size_t>(l)];
+      const auto expected = static_cast<std::size_t>(
+          std::lower_bound(vals.begin() + static_cast<std::ptrdiff_t>(w.begin),
+                           vals.begin() + static_cast<std::ptrdiff_t>(w.end),
+                           target) -
+          vals.begin());
+      const std::size_t got = trie.SeekGE(l, w, target);
+      if (got != expected && mismatches++ == 0) {
+        ADD_FAILURE() << "shape " << shape << " level " << l << " window ["
+                      << w.begin << ", " << w.end << ") target " << target
+                      << ": SeekGE " << got << ", lower_bound " << expected;
+      }
+      ++cases;
+    };
+    // Targets below, above, at and between the window's values, plus
+    // anywhere in its span and anywhere at all.
+    const auto targets = [&](const std::vector<Value>& vals,
+                             TrieIndex::Range w) {
+      std::vector<Value> t = {kMin, kMax, 0};
+      if (w.empty()) return t;
+      const Value lo = vals[w.begin];
+      const Value hi = vals[w.end - 1];
+      t.push_back(lo);
+      t.push_back(hi);
+      if (lo > kMin) t.push_back(lo - 1);
+      if (hi < kMax) t.push_back(hi + 1);
+      for (int k = 0; k < 6; ++k) {
+        const Value at = vals[w.begin + rng.NextBelow(w.size())];
+        t.push_back(at);
+        if (at > kMin) t.push_back(at - 1);
+        if (at < kMax) t.push_back(at + 1);
+        const std::uint64_t span = static_cast<std::uint64_t>(hi) -
+                                   static_cast<std::uint64_t>(lo) + 1;
+        t.push_back(static_cast<Value>(static_cast<std::uint64_t>(lo) +
+                                       rng.Next() % span));
+        t.push_back(static_cast<Value>(rng.Next()));
+      }
+      return t;
+    };
+    for (int rep = 0; rep < 40; ++rep) {
+      for (std::size_t p = 0; p < children.size(); ++p) {
+        // The whole child range of parent p, then cursors inside it.
+        const TrieIndex::Range child = trie.ChildRange(0, p);
+        ASSERT_EQ(child.size(), children[p].size());
+        for (const TrieIndex::Range w :
+             {child,
+              TrieIndex::Range{child.begin + rng.NextBelow(child.size() + 1),
+                               child.end}}) {
+          for (Value t : targets(level[1], w)) check(1, w, t);
+        }
+      }
+      // Windows of every listed size anywhere inside the last parent's
+      // children, which hold all of `values`.
+      const TrieIndex::Range all = trie.ChildRange(0, children.size() - 1);
+      for (std::size_t size : kSizes) {
+        const std::size_t b = all.begin + rng.NextBelow(all.size() - size + 1);
+        const TrieIndex::Range w{b, b + size};
+        for (Value t : targets(level[1], w)) check(1, w, t);
+      }
+      for (Value t : targets(level[0], trie.RootRange())) {
+        check(0, trie.RootRange(), t);
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
+  EXPECT_GE(cases, 100000u);
 }
 
 // --- Executor correctness --------------------------------------------------
