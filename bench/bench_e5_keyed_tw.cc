@@ -100,7 +100,7 @@ CQB_BENCH_TIMED("certified_keyed_join/j4", [] {
 CQB_BENCH_TIMED("tw_exact/augmented_join_j3", [] {
   Instance inst = RandomKeyedInstance(3, 10, 7);
   GaifmanGraph g = BuildGaifmanGraph({&inst.r, &inst.s});
-  TreewidthBranchAndBound(AugmentedJoinGraph(inst.r, 1, inst.s, 0, g));
+  TreewidthExact(AugmentedJoinGraph(inst.r, 1, inst.s, 0, g));
 })
 
 void BM_KeyedJoinDecomposition(benchmark::State& state) {

@@ -9,7 +9,7 @@
 #include "cq/chase.h"
 #include "cq/parser.h"
 #include "graph/gaifman.h"
-#include "graph/treewidth.h"
+#include "graph/treewidth_bb.h"
 #include "relation/evaluate.h"
 
 namespace {
@@ -35,8 +35,8 @@ int main() {
     GaifmanGraph after = BuildGaifmanGraph({&*result});
     std::cout << "|R| = " << r->size() << ", |R'| = " << result->size()
               << " (= n^2)\n"
-              << "tw(R) = " << TreewidthExact(before.graph, nullptr)
-              << ", tw(R') = " << TreewidthExact(after.graph, nullptr)
+              << "tw(R) = " << TreewidthExact(before.graph).width
+              << ", tw(R') = " << TreewidthExact(after.graph).width
               << " (= n - 1 on the clique K_n... here K_{n+1} incl. hub)\n";
   }
 

@@ -117,7 +117,7 @@ int EliminationDegree(const Graph& g, SubsetMask eliminated, int v) {
 
 }  // namespace
 
-int TreewidthExact(const Graph& g, std::vector<int>* order_out) {
+int TreewidthExactDp(const Graph& g, std::vector<int>* order_out) {
   const int n = g.num_vertices();
   CQB_CHECK(n <= 22);
   if (n == 0) {

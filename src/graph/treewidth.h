@@ -23,12 +23,12 @@ std::vector<int> MinFillOrdering(const Graph& g);
 /// `order_out` may be null.
 ///
 /// This is the seed reference implementation, kept as the *oracle* that
-/// cross-validates the production bitset branch-and-bound engine (the
-/// one-argument TreewidthExact overload in treewidth_bb.h) in randomized
-/// property tests. Production call sites should prefer the engine: it is
-/// orders of magnitude faster on sparse graphs and returns a certified
-/// witness decomposition.
-int TreewidthExact(const Graph& g, std::vector<int>* order_out);
+/// cross-validates the production bitset branch-and-bound engine
+/// (TreewidthExact in treewidth_bb.h) in randomized property tests.
+/// Production call sites should prefer the engine: it is orders of
+/// magnitude faster on sparse graphs and returns a certified witness
+/// decomposition.
+int TreewidthExactDp(const Graph& g, std::vector<int>* order_out);
 
 /// Maximum-minimum-degree (MMD) lower bound: repeatedly delete a vertex of
 /// minimum degree; the largest minimum degree ever seen is a treewidth lower

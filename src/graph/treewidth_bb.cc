@@ -364,6 +364,4 @@ ExactTreewidthResult TreewidthExact(const Graph& g) {
   return result;
 }
 
-int TreewidthBranchAndBound(const Graph& g) { return TreewidthExact(g).width; }
-
 }  // namespace cqbounds

@@ -78,12 +78,6 @@ struct ExactTreewidthResult {
 /// See docs/TREEWIDTH.md for the design and the safety theorems.
 ExactTreewidthResult TreewidthExact(const Graph& g);
 
-/// Width-only wrapper around TreewidthExact(g), kept as the historical
-/// entry point. Independent of the subset-DP in treewidth.h -- the two
-/// exact algorithms cross-validate each other in property tests.
-/// Returns -1 for the empty graph.
-int TreewidthBranchAndBound(const Graph& g);
-
 }  // namespace cqbounds
 
 #endif  // CQBOUNDS_GRAPH_TREEWIDTH_BB_H_

@@ -4,44 +4,14 @@
 
 namespace cqbounds {
 
-namespace {
-
-/// Fibonacci hashing: the slot is the top 64 - `shift` bits of
-/// v * 2^64/phi. One multiply, and the top bits depend on every bit of
-/// `v`, so strides, multiples of 2^32 and sign-extended negatives spread
-/// over the slots.
-std::size_t SlotFor(Value v, int shift) {
-  return static_cast<std::size_t>(
-      (static_cast<std::uint64_t>(v) * 0x9e3779b97f4a7c15ull) >> shift);
-}
-
-}  // namespace
-
-std::size_t ValueDictionary::ProbeSlot(Value v) const {
-  const std::size_t mask = slots_.size() - 1;
-  std::size_t slot = SlotFor(v, shift_);
-  while (slots_[slot] != kNoCode && values_[slots_[slot]] != v) {
-    slot = (slot + 1) & mask;
-  }
-  return slot;
-}
-
-void ValueDictionary::Grow() {
-  slots_.assign(slots_.empty() ? 16 : slots_.size() * 2, kNoCode);
-  shift_ = 64;
-  for (std::size_t size = slots_.size(); size > 1; size >>= 1) --shift_;
-  const std::size_t mask = slots_.size() - 1;
-  for (std::size_t code = 0; code < values_.size(); ++code) {
-    // Interned values are distinct: probe straight to the first free slot.
-    std::size_t slot = SlotFor(values_[code], shift_);
-    while (slots_[slot] != kNoCode) slot = (slot + 1) & mask;
-    slots_[slot] = static_cast<std::uint32_t>(code);
-  }
-}
-
 std::uint32_t ValueDictionary::Intern(Value v) {
-  // Keep load factor under 1/2, counting the value about to be minted.
-  if ((values_.size() + 1) * 2 > slots_.size()) Grow();
+  // Keep the load bound, counting the value about to be minted.
+  slots_.Reserve(values_.size() + 1, [this](auto place) {
+    for (std::size_t code = 0; code < values_.size(); ++code) {
+      place(static_cast<std::uint32_t>(code),
+            static_cast<std::uint64_t>(values_[code]));
+    }
+  });
   const std::size_t slot = ProbeSlot(v);
   if (slots_[slot] != kNoCode) return slots_[slot];
   CQB_CHECK(values_.size() < kNoCode);
@@ -68,73 +38,36 @@ Tuple ColumnStore::Row(std::size_t row) const {
   return t;
 }
 
-std::uint64_t ColumnStore::HashCodes(const std::uint32_t* codes) const {
-  // FNV-1a over the code words. Codes are dense and per-store, so hashing
-  // codes is equivalent to hashing the decoded values.
-  std::uint64_t h = 1469598103934665603ull;
-  for (int c = 0; c < arity_; ++c) {
-    h ^= codes[c];
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-bool ColumnStore::RowEqualsCodes(std::size_t row,
-                                 const std::uint32_t* codes) const {
-  for (int c = 0; c < arity_; ++c) {
-    if (columns_[static_cast<std::size_t>(c)][row] != codes[c]) return false;
-  }
-  return true;
-}
-
 std::size_t ColumnStore::ProbeSlot(const std::uint32_t* codes) const {
-  const std::size_t mask = slots_.size() - 1;
-  std::size_t slot = static_cast<std::size_t>(HashCodes(codes)) & mask;
-  while (slots_[slot] != kEmptySlot &&
-         !RowEqualsCodes(slots_[slot], codes)) {
-    slot = (slot + 1) & mask;
-  }
-  return slot;
+  return slots_.Find(HashWords(codes, static_cast<std::size_t>(arity_)),
+                     [this, codes](std::uint32_t row) {
+                       for (int c = 0; c < arity_; ++c) {
+                         if (CodeAt(row, c) != codes[c]) return false;
+                       }
+                       return true;
+                     });
 }
 
-void ColumnStore::EnsureSlotCapacity(std::size_t upcoming_rows) {
-  // Keep load factor under 1/2; power-of-two table for mask probing. The
-  // early return keeps the per-row call on the append path a compare.
-  if (!slots_.empty() && upcoming_rows * 2 <= slots_.size()) return;
-  std::size_t want = 16;
-  while (want < upcoming_rows * 2) want <<= 1;
-  if (want <= slots_.size()) return;
-  ReindexInto(want);
-}
-
-void ColumnStore::RehashAll() {
-  std::size_t want = 16;
-  while (want < rows_ * 2) want <<= 1;
-  ReindexInto(want);
-}
-
-void ColumnStore::ReindexInto(std::size_t capacity) {
-  slots_.assign(capacity, kEmptySlot);
-  const std::size_t mask = slots_.size() - 1;
-  std::vector<std::uint32_t> codes(static_cast<std::size_t>(arity_));
-  for (std::size_t row = 0; row < rows_; ++row) {
-    // Tombstoned rows are unindexed: a rehash would otherwise leave two
-    // slots matching one code-set, and a later probe could stop at the
-    // dead one and report a live tuple absent.
-    if (!IsLive(row)) continue;
-    for (int c = 0; c < arity_; ++c) {
-      codes[static_cast<std::size_t>(c)] = CodeAt(row, c);
+void ColumnStore::ReserveRows(std::size_t rows) {
+  // A rebuild places the live rows only. A tombstoned row stays unindexed:
+  // next to a live re-append of its tuple it would make two slots match
+  // one code-set, and a probe stopping at the dead one would report the
+  // live tuple absent.
+  slots_.Reserve(rows, [this](auto place) {
+    std::vector<std::uint32_t> codes(static_cast<std::size_t>(arity_));
+    for (std::size_t row = 0; row < rows_; ++row) {
+      if (!IsLive(row)) continue;
+      for (int c = 0; c < arity_; ++c) {
+        codes[static_cast<std::size_t>(c)] = CodeAt(row, c);
+      }
+      place(static_cast<std::uint32_t>(row),
+            HashWords(codes.data(), codes.size()));
     }
-    // Live rows are already distinct: probe straight to the first free
-    // slot.
-    std::size_t slot = static_cast<std::size_t>(HashCodes(codes.data())) & mask;
-    while (slots_[slot] != kEmptySlot) slot = (slot + 1) & mask;
-    slots_[slot] = static_cast<std::uint32_t>(row);
-  }
+  });
 }
 
 bool ColumnStore::AppendCodedRow(const std::uint32_t* codes) {
-  EnsureSlotCapacity(rows_ + 1);
+  ReserveRows(rows_ + 1);
   const std::size_t slot = ProbeSlot(codes);
   const bool over_dead =
       slots_[slot] != kEmptySlot && !IsLive(slots_[slot]);
@@ -166,17 +99,21 @@ void ColumnStore::RecordAppend(std::size_t first_row, std::size_t added,
   trailing_sealed_ = seal;
 }
 
-bool ColumnStore::Contains(const Tuple& t) const {
+std::uint32_t ColumnStore::LiveRowOf(const Tuple& t,
+                                     std::uint32_t* codes) const {
   CQB_CHECK(static_cast<int>(t.size()) == arity_);
-  if (rows_ == 0) return false;
-  std::vector<std::uint32_t> codes(static_cast<std::size_t>(arity_));
+  if (live_size() == 0) return kEmptySlot;
   for (int c = 0; c < arity_; ++c) {
-    const std::uint32_t code = dict_.CodeOf(t[static_cast<std::size_t>(c)]);
-    if (code == ValueDictionary::kNoCode) return false;
-    codes[static_cast<std::size_t>(c)] = code;
+    codes[c] = dict_.CodeOf(t[static_cast<std::size_t>(c)]);
+    if (codes[c] == ValueDictionary::kNoCode) return kEmptySlot;
   }
-  const std::size_t slot = ProbeSlot(codes.data());
-  return slots_[slot] != kEmptySlot && IsLive(slots_[slot]);
+  const std::uint32_t row = slots_[ProbeSlot(codes)];
+  return row != kEmptySlot && IsLive(row) ? row : kEmptySlot;
+}
+
+bool ColumnStore::Contains(const Tuple& t) const {
+  std::vector<std::uint32_t> codes(static_cast<std::size_t>(arity_));
+  return LiveRowOf(t, codes.data()) != kEmptySlot;
 }
 
 bool ColumnStore::Append(const Tuple& t) {
@@ -192,19 +129,13 @@ bool ColumnStore::Append(const Tuple& t) {
 }
 
 std::size_t ColumnStore::AppendBatch(const std::vector<Tuple>& batch) {
-  EnsureSlotCapacity(rows_ + batch.size());
-  const std::size_t first = rows_;
-  std::size_t added = 0;
+  std::vector<RowSpan> spans;
+  spans.reserve(batch.size());
   for (const Tuple& t : batch) {
     CQB_CHECK(static_cast<int>(t.size()) == arity_);
-    for (int c = 0; c < arity_; ++c) {
-      scratch_[static_cast<std::size_t>(c)] =
-          dict_.Intern(t[static_cast<std::size_t>(c)]);
-    }
-    if (AppendCodedRow(scratch_.data())) ++added;
+    spans.push_back(RowSpan{t.data(), 1});
   }
-  RecordAppend(first, added, /*seal=*/true);
-  return added;
+  return AppendRows(spans.data(), spans.size());
 }
 
 std::size_t ColumnStore::AppendRows(const RowSpan* spans,
@@ -214,7 +145,7 @@ std::size_t ColumnStore::AppendRows(const RowSpan* spans,
   // Pre-size once for the whole batch. Columns grow geometrically, so a
   // caller landing many small batches stays amortized O(1) per row.
   const std::size_t want = rows_ + total;
-  EnsureSlotCapacity(want);
+  ReserveRows(want);
   for (auto& col : columns_) {
     if (col.capacity() < want) col.reserve(std::max(want, 2 * col.capacity()));
   }
@@ -243,25 +174,15 @@ std::size_t ColumnStore::AppendFlat(const std::vector<Value>& flat,
 
 ColumnStore::EraseResult ColumnStore::Erase(const Tuple& t,
                                             std::uint32_t* removed_row) {
-  CQB_CHECK(static_cast<int>(t.size()) == arity_);
-  if (live_size() == 0) return EraseResult::kNotFound;
-  for (int c = 0; c < arity_; ++c) {
-    const std::uint32_t code = dict_.CodeOf(t[static_cast<std::size_t>(c)]);
-    if (code == ValueDictionary::kNoCode) return EraseResult::kNotFound;
-    scratch_[static_cast<std::size_t>(c)] = code;
-  }
-  const std::size_t slot = ProbeSlot(scratch_.data());
-  if (slots_[slot] == kEmptySlot || !IsLive(slots_[slot])) {
-    return EraseResult::kNotFound;
-  }
-  const std::size_t row = slots_[slot];
+  const std::uint32_t row = LiveRowOf(t, scratch_.data());
+  if (row == kEmptySlot) return EraseResult::kNotFound;
   // Tombstone: columns and index untouched, every live row id stable. The
   // slot keeps pointing at the dead row so a re-append of the same tuple
   // can re-point it in place.
   if (dead_.empty()) dead_.assign(rows_, false);
   dead_[row] = true;
   ++dead_count_;
-  if (removed_row != nullptr) *removed_row = static_cast<std::uint32_t>(row);
+  if (removed_row != nullptr) *removed_row = row;
   // Deferred compaction: once more than a quarter of the physical rows are
   // dead, the O(size * arity) rewrite amortizes against the removals that
   // earned it.
@@ -297,7 +218,8 @@ void ColumnStore::Compact() {
   rows_ = write;
   dead_.clear();
   dead_count_ = 0;
-  RehashAll();
+  slots_ = RowIndex();
+  ReserveRows(rows_);
   segments_.clear();
   if (rows_ != 0) segments_.push_back(Segment{0, rows_});
   trailing_sealed_ = false;
@@ -309,7 +231,7 @@ void ColumnStore::Clear() {
   rows_ = 0;
   dead_.clear();
   dead_count_ = 0;
-  slots_.clear();
+  slots_ = RowIndex();
   segments_.clear();
   trailing_sealed_ = false;
 }

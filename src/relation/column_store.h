@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "relation/slot_table.h"
 #include "relation/tuple.h"
 #include "util/status.h"
 
@@ -24,11 +25,12 @@ struct ColumnStats {
 /// ColumnStore so that intra-tuple equality (repeated query variables such
 /// as R(X,X)) reduces to code equality across columns.
 ///
-/// The value -> code map is the scheme of ColumnStore's row index: an
-/// open-addressing table of codes (power-of-two slots, load factor < 1/2,
-/// linear probing) that compares candidates against `values_` directly, so
-/// it stores 4 bytes per slot and nothing else -- 16-24 bytes per distinct
-/// value including the decode array, and no per-value heap node.
+/// The value -> code map is a SlotTable (slot_table.h) of codes, load
+/// factor <= 1/2, whose probe compares candidates against `values_`
+/// directly and whose hash is the value itself (the table's Fibonacci
+/// multiply spreads strides and multiples of 2^32). It stores 4 bytes per
+/// slot and nothing else -- 16-24 bytes per distinct value including the
+/// decode array, and no per-value heap node.
 class ValueDictionary {
  public:
   /// Sentinel returned by CodeOf for values never interned. Doubles as the
@@ -49,16 +51,16 @@ class ValueDictionary {
  private:
   /// Slot holding `v`'s code, or the free slot where it would go. Requires
   /// a non-empty slot table.
-  std::size_t ProbeSlot(Value v) const;
-  /// Doubles the slot table (16 slots at first) and re-inserts every code.
-  void Grow();
+  std::size_t ProbeSlot(Value v) const {
+    return slots_.Find(static_cast<std::uint64_t>(v),
+                       [this, v](std::uint32_t code) {
+                         return values_[code] == v;
+                       });
+  }
 
   std::vector<Value> values_;
-  /// Open-addressing index: slot -> code, kNoCode when free.
-  std::vector<std::uint32_t> slots_;
-  /// 64 - log2(slots_.size()): the hash keeps the product's top bits.
-  /// Set by Grow; unused while the table is empty.
-  int shift_ = 64;
+  /// Open-addressing index: slot -> code.
+  SlotTable<1, 2> slots_;
 };
 
 /// Dictionary-encoded columnar tuple storage with set semantics: `arity`
@@ -193,20 +195,18 @@ class ColumnStore {
   ColumnStats Stats(int col) const;
 
  private:
-  static constexpr std::uint32_t kEmptySlot = 0xFFFFFFFFu;
+  using RowIndex = SlotTable<1, 2>;
+  static constexpr std::uint32_t kEmptySlot = RowIndex::kEmpty;
 
-  std::uint64_t HashCodes(const std::uint32_t* codes) const;
-  bool RowEqualsCodes(std::size_t row, const std::uint32_t* codes) const;
   /// Slot holding the row equal to `codes`, or the empty slot where it
   /// would be inserted. Requires a non-empty slot table.
   std::size_t ProbeSlot(const std::uint32_t* codes) const;
-  /// Grows the slot table (and rehashes) so `upcoming_rows` fit under the
-  /// target load factor.
-  void EnsureSlotCapacity(std::size_t upcoming_rows);
-  void RehashAll();
-  /// Rebuilds the slot table at `capacity` (a power of two) from the live
-  /// rows; tombstoned rows end up unindexed.
-  void ReindexInto(std::size_t capacity);
+  /// The live row equal to `t`, or kEmptySlot; `codes` (arity() entries)
+  /// receives t's codes on the way.
+  std::uint32_t LiveRowOf(const Tuple& t, std::uint32_t* codes) const;
+  /// Grows the row index (rebuilding it over the live rows) so `rows`
+  /// physical rows fit under its load bound; builds an empty one.
+  void ReserveRows(std::size_t rows);
   /// Deferred structural pass: copies the live rows down in order,
   /// re-interning their values into a fresh dictionary (so it holds exactly
   /// the live rows' distinct values, coded in first-seen row order), drops
@@ -228,8 +228,9 @@ class ColumnStore {
   /// every row is live (the append-only fast path never pays for it).
   std::vector<bool> dead_;
   std::size_t dead_count_ = 0;
-  /// Open-addressing row index: slot -> row id, kEmptySlot when free.
-  std::vector<std::uint32_t> slots_;
+  /// Open-addressing row index: slot -> row id, kEmptySlot when free. A
+  /// slot may point at a tombstoned row until that tuple is re-appended.
+  RowIndex slots_;
   std::vector<Segment> segments_;
   /// True when the trailing segment was sealed by a bulk append: its
   /// boundary is a journal fact, so later single appends open a new segment

@@ -12,7 +12,7 @@ namespace {
 /// most two overlapping fixed-size loads and go straight to the SplitMix64
 /// finalizer; a longer spelling folds in 8-byte words by multiply and
 /// xor-shift and ends on an overlapping load of its last 8 bytes. The
-/// finalizer makes the slot's low bits depend on every byte.
+/// finalizer makes every bit of the hash depend on every byte.
 std::uint64_t HashSpelling(std::string_view s) {
   constexpr std::uint64_t kMul = 0x9e3779b97f4a7c15ull;
   const char* p = s.data();
@@ -46,40 +46,19 @@ std::uint64_t HashSpelling(std::string_view s) {
 
 }  // namespace
 
-std::size_t ValuePool::ProbeSlot(std::string_view spelling,
-                                 std::uint64_t hash) const {
-  const std::size_t mask = slots_.size() - 1;
-  std::size_t slot = static_cast<std::size_t>(hash) & mask;
-  for (;; slot = (slot + 1) & mask) {
-    const std::uint32_t id = slots_[slot];
-    if (id == kNoId || SpellingView(static_cast<Value>(id)) == spelling) {
-      return slot;
-    }
-  }
-}
-
-void ValuePool::RebuildSlots(std::size_t slot_count) {
-  std::vector<std::uint32_t>().swap(slots_);
-  slots_.assign(slot_count, kNoId);
-  const std::size_t mask = slot_count - 1;
-  for (std::size_t id = 0; id < size(); ++id) {
-    // Interned spellings are distinct: probe straight to the first free slot.
-    std::size_t slot =
-        static_cast<std::size_t>(
-            HashSpelling(SpellingView(static_cast<Value>(id)))) &
-        mask;
-    while (slots_[slot] != kNoId) slot = (slot + 1) & mask;
-    slots_[slot] = static_cast<std::uint32_t>(id);
-  }
-}
-
 Value ValuePool::Intern(std::string_view spelling) {
-  // Keep the table under 2/3 full, counting the spelling about to be
-  // minted; start at 16 slots and double.
-  if ((size() + 1) * 3 > slots_.size() * 2) {
-    RebuildSlots(slots_.empty() ? 16 : slots_.size() * 2);
-  }
-  const std::size_t slot = ProbeSlot(spelling, HashSpelling(spelling));
+  // Keep the load bound, counting the spelling about to be minted. A
+  // rebuild hashes every spelling again from the arena.
+  slots_.Reserve(size() + 1, [this](auto place) {
+    for (std::size_t id = 0; id < size(); ++id) {
+      place(static_cast<std::uint32_t>(id),
+            HashSpelling(SpellingView(static_cast<Value>(id))));
+    }
+  });
+  const std::size_t slot =
+      slots_.Find(HashSpelling(spelling), [this, spelling](std::uint32_t id) {
+        return SpellingView(static_cast<Value>(id)) == spelling;
+      });
   if (slots_[slot] != kNoId) return static_cast<Value>(slots_[slot]);
   CQB_CHECK(size() < kNoId);
   const auto id = static_cast<std::uint32_t>(size());
@@ -94,7 +73,7 @@ void ValuePool::Truncate(std::size_t size) {
   if (size == this->size()) return;
   arena_.resize(offsets_[size]);
   offsets_.resize(size + 1);
-  RebuildSlots(slots_.size());
+  slots_ = SlotTable<2, 3>();  // the next Intern rebuilds it
 }
 
 std::string ValuePool::Spelling(Value id) const {

@@ -10,6 +10,7 @@
 
 #include "cq/query.h"
 #include "relation/relation.h"
+#include "relation/slot_table.h"
 #include "util/status.h"
 
 namespace cqbounds {
@@ -21,12 +22,11 @@ namespace cqbounds {
 ///
 /// Ids are dense and minted in first-seen order. The spellings live
 /// back to back in one byte arena: id i spans [offsets_[i], offsets_[i+1]).
-/// The spelling -> id map is the scheme of ValueDictionary and ColumnStore's
-/// row index -- an open-addressing table of u32 ids (power-of-two slots,
-/// load factor < 1/2, linear probing) -- with each id's 64-bit hash cached,
-/// so a probe compares hashes before bytes and growth never re-hashes a
-/// spelling. Per spelling that is its bytes plus 16 bytes of offset and
-/// hash plus 8-16 bytes of slots, and no per-spelling heap node.
+/// The spelling -> id map is a SlotTable (slot_table.h) of u32 ids held at
+/// or under 2/3 full, whose probe compares the candidate's bytes. No hash
+/// is kept per id: a rebuild hashes every spelling again from the arena.
+/// Per spelling that is its bytes plus an 8-byte offset plus 6-12 bytes of
+/// slots, and no per-spelling heap node.
 class ValuePool {
  public:
   /// Returns the id of `spelling`, interning it on first use. Accepts
@@ -34,9 +34,9 @@ class ValuePool {
   /// copied, so `spelling` need not outlive the call.
   Value Intern(std::string_view spelling);
   /// Forgets every spelling with id >= `size` (requires size <= size()):
-  /// the arena is cut and the slot table rebuilt from the kept spellings,
-  /// so the next Intern of a new spelling mints id `size` again. Values
-  /// holding a forgotten id must not outlive the call.
+  /// the arena is cut and the slot table dropped, to be rebuilt from the
+  /// kept spellings by the next Intern, which mints id `size` again for a
+  /// new spelling. Values holding a forgotten id must not outlive the call.
   void Truncate(std::size_t size);
   /// Reverse lookup; returns "?<id>" if the id was never interned.
   std::string Spelling(Value id) const;
@@ -55,21 +55,12 @@ class ValuePool {
   /// than 2^32 - 1 spellings.
   static constexpr std::uint32_t kNoId = 0xFFFFFFFFu;
 
-  /// Slot holding `spelling`'s id, or the free slot where it would go.
-  /// Requires a non-empty slot table.
-  std::size_t ProbeSlot(std::string_view spelling, std::uint64_t hash) const;
-  /// Builds a slot table of `slot_count` slots (a power of two) over every
-  /// id, hashing each spelling again from the arena. The old table is
-  /// freed first, so a rebuild never holds two tables at once.
-  void RebuildSlots(std::size_t slot_count);
-
   /// Every spelling, concatenated in id order.
   std::string arena_;
   /// size() + 1 entries: id i's spelling starts at offsets_[i].
   std::vector<std::size_t> offsets_{0};
-  /// Open-addressing index: slot -> id, kNoId when free. Held under 2/3
-  /// full.
-  std::vector<std::uint32_t> slots_;
+  /// Open-addressing index: slot -> id, kNoId when free.
+  SlotTable<2, 3> slots_;
 };
 
 /// A database instance D = (U_D, R_1, ..., R_n): named relations over a

@@ -8,13 +8,13 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "cq/query.h"
 #include "graph/treewidth_bb.h"
 #include "relation/database.h"
+#include "relation/key_index.h"
 #include "relation/trie_index.h"
 #include "util/mutex.h"
 #include "util/thread_annotations.h"
@@ -132,8 +132,6 @@ class EvalContext {
     /// drop_step value of a row outside the books: tombstoned, or failing
     /// its atom's repeated-variable filter.
     static constexpr std::uint32_t kOffBooks = 0xFFFFFFFEu;
-    /// End-of-chain / free-slot sentinel of KeyRows.
-    static constexpr std::uint32_t kNoRow = 0xFFFFFFFFu;
 
     /// One semi-join of the reduction schedule: filter atom `target`'s
     /// survivors to those whose shared-variable projection occurs among
@@ -145,22 +143,13 @@ class EvalContext {
       std::vector<int> tgt_pos;  // target tuple positions of the shared vars
     };
 
-    /// A flat target-key -> rows index for one filter step: an
-    /// open-addressing table whose slots hold the head row of each key's
-    /// chain (power-of-two slots, load < 7/8, linear probing; a slot's key
-    /// is read off its head row's codes at the step's `tgt_pos`), and one
-    /// `next` link per physical row threading the rows that share a key.
-    /// No Tuple keys and no per-key heap vectors. Rows are never unlinked:
-    /// a tombstoned row keeps its codes until compaction -- which forces
-    /// the full pass that drops the index -- so it stays on its chain and
-    /// readers skip it by its kOffBooks drop step. Empty `slots` means not
-    /// built yet.
-    struct KeyRows {
-      std::vector<std::uint32_t> slots;  // slot -> chain head row, kNoRow
-      std::vector<std::uint32_t> next;   // row -> next row of its key
-      std::size_t keys = 0;              // occupied slots
-      int shift = 64;                    // 64 - log2(slots.size())
-    };
+    /// A filter step's target-key -> rows index (key_index.h), load <= 7/8:
+    /// lookups are rare (one per key transition), and the table is held
+    /// for a whole compaction epoch. Rows are never unlinked: a tombstoned
+    /// row keeps its codes until compaction -- which forces the full pass
+    /// that drops the index -- so it stays on its chain and readers skip it
+    /// by its kOffBooks drop step.
+    using TargetKeyRows = KeyRows<7, 8>;
 
     /// Atom i's relation generation observed when this state was computed
     /// -- the survivor-view cache key. A run whose generation vector
@@ -182,14 +171,15 @@ class EvalContext {
     /// creates this state computes it once and every delta pass replays it.
     std::vector<FilterStep> schedule;
     /// Per schedule step: how many of the source atom's surviving
-    /// rows project onto each semi-join key. Counts -- not sets -- are what
-    /// make removals O(delta): a source row leaving decrements its key, a
-    /// key hitting zero kills dependent target tuples, and a key coming
-    /// back from zero *revives* target tuples dropped at exactly that step,
-    /// all without re-scanning the database. Populated by every full pass
-    /// and maintained by every delta pass, clean or dirty.
-    std::vector<std::unordered_map<Tuple, std::uint32_t, TupleHash>>
-        step_counts;
+    /// rows project onto each semi-join key (decoded values at the step's
+    /// `src_pos`). Counts -- not sets -- are what make removals O(delta): a
+    /// source row leaving decrements its key, a key hitting zero kills
+    /// dependent target tuples, and a key coming back from zero *revives*
+    /// target tuples dropped at exactly that step, all without re-scanning
+    /// the database. Populated by every full pass and maintained by every
+    /// delta pass, clean or dirty. A key at count 0 reads as absent; the
+    /// delta pass leaves it in place until the next full pass.
+    std::vector<KeyCounts> step_counts;
     /// Per atom, indexed by physical row id (sized to the store as of
     /// `generations`): the first schedule step whose key set rejected the
     /// row, kNoDrop for a survivor, kOffBooks for a row outside the books.
@@ -206,7 +196,7 @@ class EvalContext {
     /// every later delta pass's appended rows, and dropped with the whole
     /// state by the full pass a compaction forces -- so a context that only
     /// ever takes full passes or skips never builds one.
-    std::vector<KeyRows> key_rows;
+    std::vector<TargetKeyRows> key_rows;
   };
 
   /// One plan-tier entry. `probe` is filled exactly once (concurrent

@@ -6,13 +6,12 @@
 #include <memory>
 #include <optional>
 #include <set>
-#include <unordered_map>
-#include <unordered_set>
 
 #include "graph/graph.h"
 #include "graph/tree_decomposition.h"
 #include "graph/treewidth_bb.h"
 #include "relation/column_store.h"
+#include "relation/key_index.h"
 #include "relation/trie_index.h"
 #include "relation/tuple.h"
 #include "util/mutex.h"
@@ -223,6 +222,50 @@ struct GenericJoinSearch {
                     const std::vector<int>& var_order)
       : sink(out, head_width), stats(st), order(var_order) {}
 
+  /// The one leapfrog intersection over the atoms at `depth`, within the
+  /// tops of their descent stacks: atom k's cursor (`cursor[k]`, on level
+  /// `level[k]`: stack height minus the root) seeks up to the running
+  /// maximum until all agree or a range runs dry. `on_match(value)` runs at
+  /// each match, ascending, and returns whether to go on; it may descend if
+  /// it restores the stacks. Each seek adds one to `*seeks`.
+  template <typename OnMatch>
+  void Leapfrog(std::size_t depth, std::vector<std::size_t>& cursor,
+                std::vector<int>& level, std::size_t* seeks,
+                OnMatch&& on_match) const {
+    const std::vector<int>& atoms = atoms_at[depth];
+    for (std::size_t k = 0; k < atoms.size(); ++k) {
+      const std::vector<TrieIndex::Range>& stack = range_stack[atoms[k]];
+      cursor[k] = stack.back().begin;
+      level[k] = static_cast<int>(stack.size()) - 1;
+      if (stack.back().empty()) return;
+    }
+    Value target = tries[atoms[0]]->ValueAt(level[0], cursor[0]);
+    while (true) {
+      // `target` is the running maximum over all cursors; it only grows, so
+      // each non-aligned round strictly advances some cursor.
+      bool aligned = true;
+      for (std::size_t k = 0; k < atoms.size(); ++k) {
+        const TrieIndex* trie = tries[atoms[k]];
+        const TrieIndex::Range r{cursor[k], range_stack[atoms[k]].back().end};
+        const std::size_t pos = trie->SeekGE(level[k], r, target);
+        ++*seeks;
+        if (pos >= r.end) return;  // range exhausted: no more matches
+        cursor[k] = pos;
+        const Value found = trie->ValueAt(level[k], pos);
+        if (found != target) {
+          target = found;  // overshoot: restart the round at the new max
+          aligned = false;
+          break;
+        }
+      }
+      if (!aligned) continue;
+      if (!on_match(target)) return;
+      // Advance past the match; stop when the first atom's range runs dry.
+      if (++cursor[0] >= range_stack[atoms[0]].back().end) return;
+      target = tries[atoms[0]]->ValueAt(level[0], cursor[0]);
+    }
+  }
+
   /// Binds order[depth..] recursively; every match at a depth increments
   /// that depth's intermediate counter (the quantity the AGM envelope
   /// bounds). Returns true iff at least one full binding was reached below
@@ -236,102 +279,49 @@ struct GenericJoinSearch {
     // Past the last head variable a single witness suffices.
     const bool witness_only = static_cast<int>(depth) > last_head_depth;
     const std::vector<int>& atoms = atoms_at[depth];
-    // Leapfrog: keep one cursor per participating atom; repeatedly seek
-    // every cursor up to the current maximum value until all agree (a
-    // match) or one range is exhausted. An atom's current trie level is its
-    // descent-stack height minus the root.
     std::vector<std::size_t>& cursor = cursor_scratch[depth];
     std::vector<int>& level = level_scratch[depth];
-    for (std::size_t k = 0; k < atoms.size(); ++k) {
-      const int a = atoms[k];
-      cursor[k] = range_stack[a].back().begin;
-      level[k] = static_cast<int>(range_stack[a].size()) - 1;
-      if (cursor[k] >= range_stack[a].back().end) return false;
-    }
     bool found = false;
-    Value target = tries[atoms[0]]->ValueAt(level[0], cursor[0]);
-    while (true) {
-      // `target` is the running maximum over all cursors; it only grows, so
-      // each non-aligned round strictly advances some cursor.
-      bool aligned = true;
-      for (std::size_t k = 0; k < atoms.size(); ++k) {
-        const int a = atoms[k];
-        const TrieIndex::Range r{cursor[k], range_stack[a].back().end};
-        const std::size_t pos = tries[a]->SeekGE(level[k], r, target);
-        ++stats->intersection_seeks;
-        if (pos >= r.end) return found;  // range exhausted: no more matches
-        cursor[k] = pos;
-        const Value found_value = tries[a]->ValueAt(level[k], pos);
-        if (found_value != target) {
-          target = found_value;  // overshoot: restart the round at the new max
-          aligned = false;
-          break;
-        }
-      }
-      if (!aligned) continue;
-
-      // All cursors agree on `target`: bind and descend.
-      assignment[order[depth]] = target;
-      ++stats->intermediate_sizes[depth];
-      for (std::size_t k = 0; k < atoms.size(); ++k) {
-        const int a = atoms[k];
-        range_stack[a].push_back(tries[a]->ChildRange(level[k], cursor[k]));
-      }
-      if (Run(depth + 1)) found = true;
-      for (int a : atoms) range_stack[a].pop_back();
-
-      if (found && witness_only) {
-        // The head tuple was fixed above; any remaining sibling would only
-        // re-derive it.
-        ++stats->projection_subtrees_skipped;
-        return true;
-      }
-
-      // Advance past the match; stop when the first atom's range runs dry.
-      if (++cursor[0] >= range_stack[atoms[0]].back().end) return found;
-      target = tries[atoms[0]]->ValueAt(level[0], cursor[0]);
-    }
+    Leapfrog(depth, cursor, level, &stats->intersection_seeks,
+             [&](Value target) {
+               // All cursors agree on `target`: bind and descend.
+               assignment[order[depth]] = target;
+               ++stats->intermediate_sizes[depth];
+               for (std::size_t k = 0; k < atoms.size(); ++k) {
+                 const int a = atoms[k];
+                 range_stack[a].push_back(
+                     tries[a]->ChildRange(level[k], cursor[k]));
+               }
+               if (Run(depth + 1)) found = true;
+               for (int a : atoms) range_stack[a].pop_back();
+               if (found && witness_only) {
+                 // The head tuple was fixed above; any remaining sibling
+                 // would only re-derive it.
+                 ++stats->projection_subtrees_skipped;
+                 return false;
+               }
+               return true;
+             });
+    return found;
   }
 };
 
 /// Enumerates the depth-0 leapfrog matches of `search` -- the values on
 /// which every atom participating at depth 0 agrees within its root range
-/// -- without descending. The same intersection the serial search's first
-/// level runs, reified into a work list the parallel executor partitions.
-/// Seeks are counted into `*seeks`, not charged: a caller that falls back
-/// to the serial search re-seeks depth 0 there.
+/// -- without descending: the serial search's first level, reified into a
+/// work list the parallel executor partitions. Seeks are counted into
+/// `*seeks`, not charged: a caller that falls back to the serial search
+/// re-seeks depth 0 there.
 std::vector<Value> CollectDepth0Matches(const GenericJoinSearch& search,
                                         std::size_t* seeks) {
   std::vector<Value> matches;
-  const std::vector<int>& atoms = search.atoms_at[0];
-  std::vector<std::size_t> cursor(atoms.size());
-  for (std::size_t k = 0; k < atoms.size(); ++k) {
-    const TrieIndex::Range root = search.range_stack[atoms[k]][0];
-    cursor[k] = root.begin;
-    if (root.empty()) return matches;
-  }
-  Value target = search.tries[atoms[0]]->ValueAt(0, cursor[0]);
-  while (true) {
-    bool aligned = true;
-    for (std::size_t k = 0; k < atoms.size(); ++k) {
-      const int a = atoms[k];
-      const TrieIndex::Range r{cursor[k], search.range_stack[a][0].end};
-      const std::size_t pos = search.tries[a]->SeekGE(0, r, target);
-      ++*seeks;
-      if (pos >= r.end) return matches;
-      cursor[k] = pos;
-      const Value found = search.tries[a]->ValueAt(0, pos);
-      if (found != target) {
-        target = found;
-        aligned = false;
-        break;
-      }
-    }
-    if (!aligned) continue;
-    matches.push_back(target);
-    if (++cursor[0] >= search.range_stack[atoms[0]][0].end) return matches;
-    target = search.tries[atoms[0]]->ValueAt(0, cursor[0]);
-  }
+  std::vector<std::size_t> cursor(search.atoms_at[0].size());
+  std::vector<int> level(cursor.size());
+  search.Leapfrog(0, cursor, level, seeks, [&matches](Value v) {
+    matches.push_back(v);
+    return true;
+  });
+  return matches;
 }
 
 /// The parallel executor: partitions the depth-0 matches of `proto` across
@@ -373,15 +363,11 @@ bool RunPartitionedDepth0(const GenericJoinSearch& proto, ThreadPool* pool,
   std::atomic<std::size_t> next{0};
   std::vector<EvalStats> worker_stats(workers);
   pool->ParallelFor(workers, [&](std::size_t w) {
-    GenericJoinSearch ws(/*out=*/nullptr, width, &worker_stats[w], order);
-    ws.tries = proto.tries;
-    ws.atoms_at = proto.atoms_at;
-    ws.range_stack = proto.range_stack;  // root ranges only at this point
-    ws.assignment = proto.assignment;
-    ws.head_vars = proto.head_vars;
-    ws.last_head_depth = proto.last_head_depth;
-    ws.cursor_scratch = proto.cursor_scratch;
-    ws.level_scratch = proto.level_scratch;
+    // A private copy of the search; its range stacks hold the root ranges
+    // only at this point.
+    GenericJoinSearch ws = proto;
+    ws.sink = RowSink(/*out=*/nullptr, width);
+    ws.stats = &worker_stats[w];
     worker_stats[w].intermediate_sizes.assign(order.size(), 0);
     const std::vector<int>& atoms0 = ws.atoms_at[0];
     for (std::size_t i = next.fetch_add(1); i < matches.size();
@@ -649,7 +635,6 @@ Result<Relation> BinaryJoinImpl(const Query& query,
   std::vector<int> bound_vars;
   std::vector<int> var_slot(query.num_variables(), -1);
   std::vector<Tuple> bindings = {Tuple{}};
-  std::vector<char> kept(query.num_variables(), 0);
   for (const JoinPlanStep& step : steps) {
     const Atom& atom = query.atoms()[step.atom_index];
     // Once no binding survives, the result is empty whatever the remaining
@@ -659,52 +644,42 @@ Result<Relation> BinaryJoinImpl(const Query& query,
       continue;
     }
 
-    // Split the atom's positions into join positions (variable already
-    // bound) and new positions (first occurrence of a new variable).
-    std::vector<std::pair<int, int>> join_pos;  // (atom position, binding idx)
+    // Split the atom's positions into key positions (variable already
+    // bound), repeats (a new variable's later occurrence: an equality filter
+    // against its first, compared as dictionary codes) and new positions
+    // (a new variable's first occurrence).
+    std::vector<int> key_positions;
+    std::vector<int> key_refs;                  // binding index per key
+    std::vector<std::pair<int, int>> repeats;   // (position, first position)
     std::vector<std::pair<int, int>> new_pos;   // (atom position, new var)
     std::vector<int> first_seen(query.num_variables(), -1);
     for (std::size_t p = 0; p < atom.vars.size(); ++p) {
-      int var = atom.vars[p];
+      const int var = atom.vars[p];
+      const int pos = static_cast<int>(p);
       if (var_slot[var] >= 0) {
-        join_pos.emplace_back(static_cast<int>(p), var_slot[var]);
+        key_positions.push_back(pos);
+        key_refs.push_back(var_slot[var]);
       } else if (first_seen[var] >= 0) {
-        // Repeated new variable inside the atom: equality filter against its
-        // first occurrence, handled below during indexing.
-        join_pos.emplace_back(static_cast<int>(p), -1 - first_seen[var]);
+        repeats.emplace_back(pos, first_seen[var]);
       } else {
-        first_seen[var] = static_cast<int>(p);
-        new_pos.emplace_back(static_cast<int>(p), var);
+        first_seen[var] = pos;
+        new_pos.emplace_back(pos, var);
       }
     }
 
-    // Index the relation on the join-key values, reading the key columns
-    // straight from the store (row ids, not tuple pointers -- nothing is
-    // materialized). Rows violating intra-atom repeated-variable equality
-    // are skipped; the equality check compares dictionary codes.
+    // Index the relation's self-consistent live rows on the join key: a
+    // row-chain view over the store's key columns (row ids -- nothing is
+    // materialized), each key's rows in ascending row id.
     const ColumnStore& store = rels[step.atom_index]->store();
-    std::unordered_map<Tuple, std::vector<std::uint32_t>, TupleHash> index;
-    Tuple ikey;
-    for (std::size_t row = 0; row < store.size(); ++row) {
-      if (!store.IsLive(row)) continue;
-      bool self_consistent = true;
-      ikey.clear();
-      for (const auto& [pos, ref] : join_pos) {
-        if (ref < 0) {
-          const int first_pos = -1 - ref;
-          if (store.CodeAt(row, pos) != store.CodeAt(row, first_pos)) {
-            self_consistent = false;
-            break;
-          }
-        } else {
-          ikey.push_back(store.ValueAt(row, pos));
-        }
+    KeyRows<1, 2> index(std::move(key_positions));
+    index.LinkRows(store, store.size(), [&](std::size_t row) {
+      if (!store.IsLive(row)) return false;
+      for (const auto& [pos, first] : repeats) {
+        if (store.CodeAt(row, pos) != store.CodeAt(row, first)) return false;
       }
-      if (self_consistent) {
-        index[ikey].push_back(static_cast<std::uint32_t>(row));
-        ++local->indexed_tuples;
-      }
-    }
+      ++local->indexed_tuples;
+      return true;
+    });
 
     // Probe.
     for (const auto& [pos, var] : new_pos) {
@@ -713,46 +688,39 @@ Result<Relation> BinaryJoinImpl(const Query& query,
       bound_vars.push_back(var);
     }
     std::vector<Tuple> next;
+    std::vector<Value> key(key_refs.size());
     for (const Tuple& binding : bindings) {
-      Tuple key;
-      for (const auto& [pos, ref] : join_pos) {
-        (void)pos;
-        if (ref >= 0) key.push_back(binding[ref]);
+      for (std::size_t i = 0; i < key_refs.size(); ++i) {
+        key[i] = binding[key_refs[i]];
       }
-      auto it = index.find(key);
-      if (it == index.end()) continue;
-      for (const std::uint32_t row : it->second) {
+      index.ForEachRow(store, key.data(), [&](std::uint32_t row) {
         Tuple extended = binding;
         for (const auto& [pos, var] : new_pos) {
           (void)var;
           extended.push_back(store.ValueAt(row, pos));
         }
         next.push_back(std::move(extended));
-      }
+      });
     }
     bindings = std::move(next);
 
-    // Project onto the keep set. Bindings over every bound variable are
-    // distinct (each extends a distinct binding by a distinct row), so only
-    // a step that drops a variable can create duplicates to remove.
+    // Project onto the keep set, dropping duplicates. Bindings over every
+    // bound variable are distinct (each extends a distinct binding by a
+    // distinct row), so a step that keeps them all in order skips this.
     if (step.keep_vars != bound_vars) {
-      for (int v : step.keep_vars) kept[v] = 1;
-      bool drops = false;
-      for (int v : bound_vars) {
-        if (!kept[v]) drops = true;
-      }
-      for (int v : step.keep_vars) kept[v] = 0;
       std::vector<int> kept_positions;
       kept_positions.reserve(step.keep_vars.size());
       for (int v : step.keep_vars) kept_positions.push_back(var_slot[v]);
-      std::unordered_set<Tuple, TupleHash> dedup;
+      KeyCounts dedup(kept_positions.size());
       std::vector<Tuple> projected;
       projected.reserve(bindings.size());
       for (const Tuple& binding : bindings) {
         Tuple p;
         p.reserve(kept_positions.size());
         for (int pos : kept_positions) p.push_back(binding[pos]);
-        if (!drops || dedup.insert(p).second) projected.push_back(std::move(p));
+        if (++dedup.count(dedup.Insert(p.data())) == 1) {
+          projected.push_back(std::move(p));
+        }
       }
       for (int v : bound_vars) var_slot[v] = -1;
       for (std::size_t i = 0; i < step.keep_vars.size(); ++i) {
@@ -942,9 +910,21 @@ std::vector<FilterStep> BuildFilterSchedule(
   return steps;
 }
 
+/// Reads `row`'s values at `positions` into `*key`; returns its data.
+const Value* ReadKey(const ColumnStore& store, std::uint32_t row,
+                     const std::vector<int>& positions,
+                     std::vector<Value>* key) {
+  key->resize(positions.size());
+  for (std::size_t i = 0; i < positions.size(); ++i) {
+    (*key)[i] = store.ValueAt(row, positions[i]);
+  }
+  return key->data();
+}
+
 constexpr std::uint32_t kNoDrop = SemijoinState::kNoDrop;
 constexpr std::uint32_t kOffBooks = SemijoinState::kOffBooks;
-constexpr std::uint32_t kNoRow = SemijoinState::kNoRow;
+/// drop_step value, inside a delta pass only, of a row the pass tracks.
+constexpr std::uint32_t kTracked = 0xFFFFFFFDu;
 
 /// Executes `state`'s filter schedule over `atoms` (whose survivor row
 /// lists must hold every live self-consistent row, with `store` set, and
@@ -958,30 +938,25 @@ constexpr std::uint32_t kNoRow = SemijoinState::kNoRow;
 void RunFullPass(std::vector<ReductionAtom>* atoms, SemijoinState* state,
                  EvalStats* local) {
   const std::vector<FilterStep>& steps = state->schedule;
-  state->step_counts.assign(steps.size(), {});
+  state->step_counts.clear();
+  state->step_counts.reserve(steps.size());
   for (std::size_t s = 0; s < steps.size(); ++s) {
     const FilterStep& step = steps[s];
     ReductionAtom& source = (*atoms)[step.source];
     ReductionAtom& target = (*atoms)[step.target];
-    std::unordered_map<Tuple, std::uint32_t, TupleHash>& keys =
-        state->step_counts[s];
+    KeyCounts& keys = state->step_counts.emplace_back(step.src_pos.size());
     local->semijoin_rows_visited += source.rows.size() + target.rows.size();
-    Tuple key(step.src_pos.size());
+    std::vector<Value> key;
     for (const std::uint32_t row : source.rows) {
-      for (std::size_t i = 0; i < step.src_pos.size(); ++i) {
-        key[i] = source.store->ValueAt(row, step.src_pos[i]);
-      }
-      ++keys[key];
+      ++keys.count(
+          keys.Insert(ReadKey(*source.store, row, step.src_pos, &key)));
     }
     if (target.rows.empty()) continue;
     std::vector<std::uint32_t>& drops = state->drop_step[step.target];
     std::vector<std::uint32_t> kept;
     kept.reserve(target.rows.size());
     for (const std::uint32_t row : target.rows) {
-      for (std::size_t i = 0; i < step.tgt_pos.size(); ++i) {
-        key[i] = target.store->ValueAt(row, step.tgt_pos[i]);
-      }
-      if (keys.count(key)) {
+      if (keys.CountOf(ReadKey(*target.store, row, step.tgt_pos, &key)) > 0) {
         kept.push_back(row);
       } else {
         drops[row] = static_cast<std::uint32_t>(s);
@@ -992,132 +967,15 @@ void RunFullPass(std::vector<ReductionAtom>* atoms, SemijoinState* state,
   }
 }
 
-/// Grows `v` to `n` entries, new ones `fill`. The books grow by one window
-/// at a time for a whole compaction epoch, so an eighth of headroom is
-/// reserved instead of the vector's usual doubling, which would hold up to
-/// twice the rows in memory.
-void GrowBook(std::vector<std::uint32_t>* v, std::size_t n,
-              std::uint32_t fill) {
-  if (n > v->capacity()) v->reserve(n + n / 8);
-  v->resize(n, fill);
+/// Links the in-books rows of `drops` (one entry per physical row) that
+/// `index` does not cover yet. Returns the number of rows scanned.
+std::size_t LinkInBooks(SemijoinState::TargetKeyRows* index,
+                        const ColumnStore& store,
+                        const std::vector<std::uint32_t>& drops) {
+  return index->LinkRows(store, drops.size(), [&drops](std::size_t row) {
+    return drops[row] != kOffBooks;
+  });
 }
-
-/// One filter step's KeyRows (eval_context.h) over the target atom's
-/// store: builds, extends and probes the flat target-key -> rows index.
-/// Slots hash the key's target-store codes (one dictionary per store, so
-/// code equality is value equality); a lookup by decoded values first maps
-/// each value to its target code, and a value the target never interned
-/// names no row at all.
-class KeyRowsIndex {
- public:
-  KeyRowsIndex(SemijoinState::KeyRows* index, const ColumnStore& store,
-               const std::vector<int>& positions)
-      : index_(index),
-        store_(store),
-        positions_(positions),
-        codes_(positions.size()) {}
-
-  bool built() const { return !index_->slots.empty(); }
-
-  /// Links every in-books row of `drops` (one entry per physical row).
-  /// Returns the number of rows scanned.
-  std::size_t Build(const std::vector<std::uint32_t>& drops) {
-    Grow();
-    return Extend(drops);
-  }
-
-  /// Links the in-books rows past the ones already covered, up to
-  /// drops.size(). Returns the number of rows scanned.
-  std::size_t Extend(const std::vector<std::uint32_t>& drops) {
-    const std::size_t first = index_->next.size();
-    GrowBook(&index_->next, drops.size(), kNoRow);
-    for (std::size_t row = first; row < drops.size(); ++row) {
-      if (drops[row] != kOffBooks) Link(static_cast<std::uint32_t>(row));
-    }
-    return drops.size() - first;
-  }
-
-  /// Calls `visit(row)` for every row on the chain of the key spelled by
-  /// `values` (the step's target positions, decoded).
-  template <typename Visit>
-  void ForEachRow(const Tuple& values, Visit&& visit) {
-    for (std::size_t i = 0; i < values.size(); ++i) {
-      codes_[i] = store_.dict().CodeOf(values[i]);
-      if (codes_[i] == ValueDictionary::kNoCode) return;
-    }
-    for (std::uint32_t row = index_->slots[Probe()]; row != kNoRow;
-         row = index_->next[row]) {
-      visit(row);
-    }
-  }
-
- private:
-  std::size_t SlotOf(const std::uint32_t* codes) const {
-    std::uint64_t h = 0;
-    for (std::size_t i = 0; i < positions_.size(); ++i) {
-      h = (h ^ codes[i]) * 0x9e3779b97f4a7c15ull;
-    }
-    return static_cast<std::size_t>(h >> index_->shift);
-  }
-
-  /// Slot whose chain carries `codes_`, or the free slot where it would go.
-  std::size_t Probe() const {
-    const std::size_t mask = index_->slots.size() - 1;
-    std::size_t slot = SlotOf(codes_.data());
-    for (;; slot = (slot + 1) & mask) {
-      const std::uint32_t head = index_->slots[slot];
-      if (head == kNoRow) return slot;
-      bool same = true;
-      for (std::size_t i = 0; i < positions_.size() && same; ++i) {
-        same = store_.CodeAt(head, positions_[i]) == codes_[i];
-      }
-      if (same) return slot;
-    }
-  }
-
-  void ReadCodes(std::uint32_t row, std::uint32_t* codes) const {
-    for (std::size_t i = 0; i < positions_.size(); ++i) {
-      codes[i] = store_.CodeAt(row, positions_[i]);
-    }
-  }
-
-  void Link(std::uint32_t row) {
-    // Load up to 7/8: lookups are rare (one per key transition), and the
-    // table is held for a whole compaction epoch.
-    if ((index_->keys + 1) * 8 > index_->slots.size() * 7) Grow();
-    ReadCodes(row, codes_.data());
-    const std::size_t slot = Probe();
-    if (index_->slots[slot] == kNoRow) ++index_->keys;
-    index_->next[row] = index_->slots[slot];
-    index_->slots[slot] = row;
-  }
-
-  /// Doubles the slot table (16 slots at first) and re-seats every chain
-  /// by its head row's codes.
-  void Grow() {
-    std::vector<std::uint32_t> old = std::move(index_->slots);
-    index_->slots.assign(old.empty() ? 16 : old.size() * 2, kNoRow);
-    index_->shift = 64;
-    for (std::size_t n = index_->slots.size(); n > 1; n >>= 1) {
-      --index_->shift;
-    }
-    const std::size_t mask = index_->slots.size() - 1;
-    std::vector<std::uint32_t> codes(positions_.size());
-    for (const std::uint32_t head : old) {
-      if (head == kNoRow) continue;
-      // Chains hold distinct keys: probe straight to the first free slot.
-      ReadCodes(head, codes.data());
-      std::size_t slot = SlotOf(codes.data());
-      while (index_->slots[slot] != kNoRow) slot = (slot + 1) & mask;
-      index_->slots[slot] = head;
-    }
-  }
-
-  SemijoinState::KeyRows* index_;
-  const ColumnStore& store_;
-  const std::vector<int>& positions_;
-  std::vector<std::uint32_t> codes_;
-};
 
 /// Variable-intersection graph of `query` (the Gaifman graph of the
 /// canonical instance): one vertex per body variable (dense numbering via
@@ -1197,7 +1055,10 @@ void RunHybridFullPass(const Query& query,
   }
   RunFullPass(atoms, fresh.get(), local);
   local->semijoin_pass_ran = true;
-  fresh->key_rows.resize(fresh->schedule.size());
+  fresh->key_rows.reserve(fresh->schedule.size());
+  for (const FilterStep& step : fresh->schedule) {
+    fresh->key_rows.emplace_back(step.tgt_pos);
+  }
   fresh->generations.reserve(m);
   for (const Relation* rel : rels) {
     fresh->generations.push_back(rel->generation());
@@ -1262,7 +1123,8 @@ bool RunHybridDeltaPass(const Query& query,
 
   // A tracked row is one whose reduction fate may differ from the cached
   // books: appended, removed, killed, or revived. Everything untracked
-  // provably keeps its old fate.
+  // provably keeps its old fate. A tracked row already on the books is
+  // marked kTracked there until the pass writes its settled drop step.
   struct TrackedRow {
     std::uint32_t row;
     bool present_new;        // live in the new relation state
@@ -1272,9 +1134,9 @@ bool RunHybridDeltaPass(const Query& query,
     std::uint32_t new_drop;  // new pass's first drop step so far
   };
   std::vector<std::vector<TrackedRow>> tracked(m);
-  std::vector<std::unordered_map<std::uint32_t, std::size_t>> tracked_idx(m);
-  auto track = [&tracked, &tracked_idx](std::size_t atom, TrackedRow t) {
-    tracked_idx[atom].emplace(t.row, tracked[atom].size());
+  auto track = [&tracked, state](std::size_t atom, TrackedRow t) {
+    std::vector<std::uint32_t>& drops = state->drop_step[atom];
+    if (t.row < drops.size()) drops[t.row] = kTracked;
     tracked[atom].push_back(t);
   };
   for (std::size_t i = 0; i < m; ++i) {
@@ -1298,65 +1160,66 @@ bool RunHybridDeltaPass(const Query& query,
     }
   }
 
-  Tuple key;
-  std::unordered_map<Tuple, std::uint32_t, TupleHash> old_at_key;
-  std::vector<Tuple> new_keys;
-  std::vector<Tuple> vanished;
+  std::vector<Value> key;
+  // (key id, +1 or -1) per count adjustment of the current step.
+  std::vector<std::pair<std::uint32_t, int>> touched;
+  std::vector<std::uint32_t> new_keys;
+  std::vector<std::uint32_t> vanished;
   for (std::size_t s = 0; s < schedule.size(); ++s) {
     const FilterStep& step = schedule[s];
-    auto& counts = state->step_counts[s];
+    KeyCounts& counts = state->step_counts[s];
     const ColumnStore& src_store = rels[step.source]->store();
     const ColumnStore& tgt_store = rels[step.target]->store();
     const std::uint32_t s32 = static_cast<std::uint32_t>(s);
     // Phase 1: adjust this step's support counts by every tracked source
-    // row whose aliveness-at-this-step changed, snapshotting each touched
-    // key's pre-step count.
-    key.assign(step.src_pos.size(), 0);
-    old_at_key.clear();
+    // row whose aliveness-at-this-step changed, noting each adjustment.
+    touched.clear();
     for (const TrackedRow& t : tracked[step.source]) {
       const bool c_old = !t.appended && t.old_drop > s32;
       const bool c_new = t.present_new && t.new_drop > s32;
       if (c_old == c_new) continue;
-      for (std::size_t i = 0; i < step.src_pos.size(); ++i) {
-        key[i] = src_store.ValueAt(t.row, step.src_pos[i]);
-      }
-      auto cit = counts.find(key);
-      old_at_key.emplace(key, cit != counts.end() ? cit->second : 0u);
+      const std::uint32_t id =
+          counts.Insert(ReadKey(src_store, t.row, step.src_pos, &key));
       if (c_new) {
-        ++counts[key];
+        ++counts.count(id);
       } else {
-        CQB_CHECK(cit != counts.end() && cit->second > 0);
-        --cit->second;
+        CQB_CHECK(counts.count(id) > 0);
+        --counts.count(id);
       }
+      touched.emplace_back(id, c_new ? 1 : -1);
     }
-    // Phase 2: net key transitions. Only 0 -> + and + -> 0 matter; a key
+    // Phase 2: net key transitions -- a key's pre-step count is its count
+    // now minus its net adjustment. Only 0 -> + and + -> 0 matter; a key
     // removed and re-added within one window nets out, so no kill/revive
-    // cascade fires for it.
+    // cascade fires for it. A vanished key stays in the table at count 0.
+    std::sort(touched.begin(), touched.end());
     new_keys.clear();
     vanished.clear();
-    for (const auto& entry : old_at_key) {
-      auto cit = counts.find(entry.first);
-      const std::uint32_t newc = cit != counts.end() ? cit->second : 0u;
-      if (entry.second == 0 && newc > 0) new_keys.push_back(entry.first);
-      if (entry.second > 0 && newc == 0) {
-        vanished.push_back(entry.first);
-        counts.erase(cit);
+    for (std::size_t i = 0; i < touched.size();) {
+      const std::uint32_t id = touched[i].first;
+      std::int64_t net = 0;
+      for (; i < touched.size() && touched[i].first == id; ++i) {
+        net += touched[i].second;
       }
+      const std::int64_t newc = counts.count(id);
+      if (newc == net && newc > 0) new_keys.push_back(id);
+      if (newc == 0 && net < 0) vanished.push_back(id);
     }
     if (!vanished.empty() || !new_keys.empty()) {
       const std::vector<std::uint32_t>& drops = state->drop_step[step.target];
-      const std::unordered_map<std::uint32_t, std::size_t>& seen =
-          tracked_idx[step.target];
-      KeyRowsIndex index(&state->key_rows[s], tgt_store, step.tgt_pos);
-      if (!index.built()) local->semijoin_rows_visited += index.Build(drops);
+      SemijoinState::TargetKeyRows& index = state->key_rows[s];
+      if (!index.built()) {
+        local->semijoin_rows_visited += LinkInBooks(&index, tgt_store, drops);
+      }
       // Phase 3: kills. A vanished key strands every target row that was
       // leaning on it (alive at this step in the old pass); rows already
       // tracked settle their fate in the re-check below.
-      for (const Tuple& k : vanished) {
-        index.ForEachRow(k, [&](std::uint32_t row) {
+      for (const std::uint32_t id : vanished) {
+        index.ForEachRow(tgt_store, counts.key(id), [&](std::uint32_t row) {
           ++local->semijoin_rows_visited;
           const std::uint32_t old_drop = drops[row];
-          if (old_drop == kOffBooks || old_drop <= s32 || seen.count(row)) {
+          if (old_drop == kOffBooks || old_drop == kTracked ||
+              old_drop <= s32) {
             return;
           }
           track(step.target, TrackedRow{row, true, false, old_drop, s32});
@@ -1365,10 +1228,10 @@ bool RunHybridDeltaPass(const Query& query,
       // Phase 4: revivals. A key back from zero re-admits exactly the rows
       // this step dropped for lacking it; later steps then judge them
       // individually.
-      for (const Tuple& k : new_keys) {
-        index.ForEachRow(k, [&](std::uint32_t row) {
+      for (const std::uint32_t id : new_keys) {
+        index.ForEachRow(tgt_store, counts.key(id), [&](std::uint32_t row) {
           ++local->semijoin_rows_visited;
-          if (drops[row] != s32 || seen.count(row)) return;
+          if (drops[row] != s32) return;
           track(step.target, TrackedRow{row, true, false, s32, kNoDrop});
         });
       }
@@ -1376,14 +1239,12 @@ bool RunHybridDeltaPass(const Query& query,
     // Phase 5: individual re-checks against the settled counts -- appended
     // rows meet each step for the first time, and tracked rows past their
     // old drop step have no recorded fate to reuse.
-    key.assign(step.tgt_pos.size(), 0);
     for (TrackedRow& t : tracked[step.target]) {
       if (!t.present_new || t.new_drop != kNoDrop) continue;
       if (!t.appended && t.old_drop > s32) continue;
-      for (std::size_t i = 0; i < step.tgt_pos.size(); ++i) {
-        key[i] = tgt_store.ValueAt(t.row, step.tgt_pos[i]);
+      if (counts.CountOf(ReadKey(tgt_store, t.row, step.tgt_pos, &key)) == 0) {
+        t.new_drop = s32;
       }
-      if (!counts.count(key)) t.new_drop = s32;
     }
   }
 
@@ -1397,8 +1258,13 @@ bool RunHybridDeltaPass(const Query& query,
     state->generations[i] = rels[i]->generation();
     // Rows appended since the last pass start off the books; the tracked
     // ones among them get their fate below.
+    // The books grow by one window at a time for a whole compaction epoch,
+    // so an eighth of headroom is reserved instead of the vector's usual
+    // doubling, which would hold up to twice the rows in memory.
     std::vector<std::uint32_t>& drops = state->drop_step[i];
-    GrowBook(&drops, rels[i]->store().size(), kOffBooks);
+    const std::size_t rows = rels[i]->store().size();
+    if (rows > drops.capacity()) drops.reserve(rows + rows / 8);
+    drops.resize(rows, kOffBooks);
     if (tracked[i].empty()) {
       if (state->survivor_tries[i] != nullptr) {
         (*overrides)[i] = state->survivor_tries[i];
@@ -1474,12 +1340,11 @@ bool RunHybridDeltaPass(const Query& query,
   }
   // Built key indexes take in the rows appended this window.
   for (std::size_t s = 0; s < schedule.size() && !gens_match; ++s) {
-    if (state->key_rows[s].slots.empty()) continue;
-    const FilterStep& step = schedule[s];
-    KeyRowsIndex index(&state->key_rows[s], rels[step.target]->store(),
-                       step.tgt_pos);
-    local->semijoin_rows_visited +=
-        index.Extend(state->drop_step[step.target]);
+    SemijoinState::TargetKeyRows& index = state->key_rows[s];
+    if (!index.built()) continue;
+    const std::size_t target = schedule[s].target;
+    local->semijoin_rows_visited += LinkInBooks(
+        &index, rels[target]->store(), state->drop_step[target]);
   }
   return true;
 }
@@ -1691,34 +1556,27 @@ Relation EquiJoin(const Relation& left, const Relation& right,
                   const std::vector<std::pair<int, int>>& pairs,
                   const std::string& result_name) {
   // The position pairs are invariants of the call, not of any tuple:
-  // validate them once up front instead of re-checking inside the
-  // per-tuple indexing and probing loops.
+  // validate them once up front, splitting them into each side's key.
+  std::vector<int> left_positions, right_positions;
   for (const auto& [lp, rp] : pairs) {
     CQB_CHECK(lp >= 0 && lp < left.arity());
     CQB_CHECK(rp >= 0 && rp < right.arity());
+    left_positions.push_back(lp);
+    right_positions.push_back(rp);
   }
   Relation out(result_name, left.arity() + right.arity());
-  // Index the right side on its join key, by row id into its store.
+  // Index the right side's rows on its join key, in ascending row id.
   const ColumnStore& ls = left.store();
   const ColumnStore& rs = right.store();
-  std::unordered_map<Tuple, std::vector<std::uint32_t>, TupleHash> index;
-  Tuple key(pairs.size());
-  for (std::size_t row = 0; row < rs.size(); ++row) {
-    if (!rs.IsLive(row)) continue;
-    for (std::size_t i = 0; i < pairs.size(); ++i) {
-      key[i] = rs.ValueAt(row, pairs[i].second);
-    }
-    index[key].push_back(static_cast<std::uint32_t>(row));
-  }
+  KeyRows<1, 2> index(std::move(right_positions));
+  index.LinkRows(rs, rs.size(),
+                 [&rs](std::size_t row) { return rs.IsLive(row); });
   RowSink joined(&out, static_cast<std::size_t>(out.arity()));
+  std::vector<Value> key;
   for (std::size_t lrow = 0; lrow < ls.size(); ++lrow) {
     if (!ls.IsLive(lrow)) continue;
-    for (std::size_t i = 0; i < pairs.size(); ++i) {
-      key[i] = ls.ValueAt(lrow, pairs[i].first);
-    }
-    auto it = index.find(key);
-    if (it == index.end()) continue;
-    for (const std::uint32_t rrow : it->second) {
+    const Value* lkey = ReadKey(ls, lrow, left_positions, &key);
+    index.ForEachRow(rs, lkey, [&](std::uint32_t rrow) {
       for (int c = 0; c < left.arity(); ++c) {
         joined.block.push_back(ls.ValueAt(lrow, c));
       }
@@ -1726,7 +1584,7 @@ Relation EquiJoin(const Relation& left, const Relation& right,
         joined.block.push_back(rs.ValueAt(rrow, c));
       }
       joined.EndRow();
-    }
+    });
   }
   joined.Flush();
   return out;

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "relation/column_store.h"
+#include "relation/key_index.h"
 #include "relation/relation.h"
 #include "relation/trie_index.h"
 #include "util/rng.h"
@@ -97,6 +98,147 @@ TEST(ValueDictionaryTest, MatchesAHashMapReferenceOnAdversarialKeys) {
   for (const auto& [v, code] : reference) {
     EXPECT_EQ(dict.CodeOf(v), code);
     EXPECT_EQ(dict.ValueOf(code), v);
+  }
+}
+
+// --- KeyCounts and KeyRows: the keyed views on the slot table -------------
+
+/// Keys the Fibonacci home slot cannot tell apart: k * s for the stride s
+/// with s * 2^64/phi == 2^40 (mod 2^64), as in the dictionary test above.
+std::vector<Value> CollidingValues(int count) {
+  const std::uint64_t a = 0x9e3779b97f4a7c15ull;
+  std::uint64_t inverse = a;
+  for (int i = 0; i < 6; ++i) inverse *= 2 - a * inverse;
+  std::vector<Value> values;
+  for (int k = 1; k <= count; ++k) {
+    values.push_back(static_cast<Value>(static_cast<std::uint64_t>(k) *
+                                        (inverse << 40)));
+  }
+  return values;
+}
+
+struct TupleKeyHash {
+  std::size_t operator()(const Tuple& t) const {
+    std::size_t h = t.size();
+    for (Value v : t) h = h * 1000003u ^ static_cast<std::size_t>(v);
+    return h;
+  }
+};
+
+TEST(KeyCountsTest, MatchesAHashMapReferenceAcrossWidthsAndGrowth) {
+  const std::vector<Value> colliding = CollidingValues(64);
+  for (std::size_t width = 0; width <= 4; ++width) {
+    KeyCounts counts(width);
+    std::unordered_map<Tuple, std::uint32_t, TupleKeyHash> reference;
+    Rng rng(1993 + width);
+    // ~10^4 distinct keys at width >= 1: the 16-slot table rebuilds about
+    // ten times. Half the values come from the colliding stride.
+    Tuple key(width);
+    for (int i = 0; i < 40000; ++i) {
+      for (std::size_t c = 0; c < width; ++c) {
+        key[c] = rng.NextBelow(2) == 0
+                     ? colliding[rng.NextBelow(colliding.size())]
+                     : static_cast<Value>(rng.NextBelow(12)) - 6;
+      }
+      std::uint32_t& want = reference[key];
+      const std::uint32_t id = counts.Insert(key.data());
+      // Drop a key to 0 now and then, and bring some back later.
+      if (want > 0 && rng.NextBelow(3) == 0) {
+        want = 0;
+        counts.count(id) = 0;
+      } else {
+        ++want;
+        ++counts.count(id);
+      }
+      const Tuple probe = reference.begin()->first;
+      ASSERT_EQ(counts.CountOf(probe.data()), reference.begin()->second);
+    }
+    std::size_t positive = 0;
+    for (const auto& [k, c] : reference) {
+      ASSERT_EQ(counts.CountOf(k.data()), c) << "width " << width;
+      positive += c > 0 ? 1 : 0;
+    }
+    // Every key the table holds is one the reference holds, with its count;
+    // a zero-count key is held but reads as absent.
+    ASSERT_EQ(counts.size(), reference.size());
+    std::size_t held_positive = 0;
+    for (std::uint32_t id = 0; id < counts.size(); ++id) {
+      const Tuple k(counts.key(id), counts.key(id) + width);
+      ASSERT_EQ(reference.at(k), counts.count(id));
+      held_positive += counts.count(id) > 0 ? 1 : 0;
+    }
+    EXPECT_EQ(held_positive, positive);
+    const Tuple absent(width, 1000);
+    EXPECT_EQ(counts.CountOf(absent.data()),
+              width == 0 ? reference.at(Tuple{}) : 0u);
+    if (width >= 3) {
+      EXPECT_GT(reference.size(), 8000u);
+    }
+  }
+}
+
+TEST(KeyRowsTest, ChainsMatchAHashMapReferenceInAscendingRowOrder) {
+  const std::vector<Value> colliding = CollidingValues(32);
+  Rng rng(2026);
+  ColumnStore store(4);
+  std::vector<Tuple> batch;
+  for (int i = 0; i < 20000; ++i) {
+    Tuple t(4);
+    for (Value& v : t) {
+      v = rng.NextBelow(2) == 0 ? colliding[rng.NextBelow(colliding.size())]
+                                : static_cast<Value>(rng.NextBelow(40));
+    }
+    batch.push_back(t);
+  }
+  store.AppendBatch(batch);
+  // Tombstone some rows; the keep test below leaves them unlinked.
+  for (int i = 0; i < 500; ++i) {
+    store.Erase(batch[rng.NextBelow(batch.size())]);
+  }
+  ASSERT_GT(store.dead_count(), 0u);
+  for (std::size_t width = 0; width <= 4; ++width) {
+    std::vector<int> positions;
+    for (std::size_t c = 0; c < width; ++c) {
+      positions.push_back(static_cast<int>((c * 3 + 1) % 4));
+    }
+    KeyRows<7, 8> index(positions);
+    std::unordered_map<Tuple, std::vector<std::uint32_t>, TupleKeyHash>
+        reference;
+    // Link in two calls: the second call's rows go ahead of the first's,
+    // each call's own rows in ascending row id.
+    const std::size_t half = store.size() / 2;
+    const auto live = [&store](std::size_t row) { return store.IsLive(row); };
+    EXPECT_EQ(index.LinkRows(store, half, live), half);
+    EXPECT_EQ(index.LinkRows(store, store.size(), live), store.size() - half);
+    for (std::size_t row = 0; row < store.size(); ++row) {
+      if (!store.IsLive(row)) continue;
+      Tuple key;
+      for (int p : positions) key.push_back(store.ValueAt(row, p));
+      reference[key].push_back(static_cast<std::uint32_t>(row));
+    }
+    for (auto& [key, rows] : reference) {
+      std::vector<std::uint32_t> want;
+      for (std::uint32_t r : rows) {
+        if (r >= half) want.push_back(r);
+      }
+      for (std::uint32_t r : rows) {
+        if (r < half) want.push_back(r);
+      }
+      std::vector<std::uint32_t> got;
+      index.ForEachRow(store, key.data(),
+                       [&got](std::uint32_t row) { got.push_back(row); });
+      ASSERT_EQ(got, want) << "width " << width;
+    }
+    if (width == 0) {
+      ASSERT_EQ(reference.size(), 1u);  // one chain, every live row
+    }
+    // A key of interned values that no row carries, and a value the store
+    // never interned, name no row.
+    const Tuple unseen(width, 1000000);
+    bool visited = false;
+    index.ForEachRow(store, unseen.data(),
+                     [&visited](std::uint32_t) { visited = true; });
+    EXPECT_EQ(visited, width == 0);
   }
 }
 

@@ -135,7 +135,7 @@ TEST_P(ExactOracleCrossCheckTest, EngineEqualsDpOracle) {
       }
     }
     ExactTreewidthResult r = TreewidthExact(g);
-    ASSERT_EQ(r.width, TreewidthExact(g, nullptr))
+    ASSERT_EQ(r.width, TreewidthExactDp(g, nullptr))
         << "n=" << n << " edges=" << g.num_edges();
     ASSERT_TRUE(r.decomposition.Validate(g).ok());
     ASSERT_EQ(r.decomposition.Width(), r.width);

@@ -33,21 +33,21 @@ TEST(GraphTest, InducedSubgraph) {
 TEST(TreewidthTest, KnownGraphFamilies) {
   // Fact 5.1 and standard values: tw(K_n) = n-1, tw(C_n) = 2,
   // tw(grid n x m) = min(n, m), tw(tree) = 1, tw(empty) = 0.
-  EXPECT_EQ(TreewidthExact(Graph::Complete(5), nullptr), 4);
-  EXPECT_EQ(TreewidthExact(Graph::Cycle(6), nullptr), 2);
-  EXPECT_EQ(TreewidthExact(Graph::Grid(3, 4), nullptr), 3);
-  EXPECT_EQ(TreewidthExact(Graph::Grid(2, 7), nullptr), 2);
+  EXPECT_EQ(TreewidthExactDp(Graph::Complete(5), nullptr), 4);
+  EXPECT_EQ(TreewidthExactDp(Graph::Cycle(6), nullptr), 2);
+  EXPECT_EQ(TreewidthExactDp(Graph::Grid(3, 4), nullptr), 3);
+  EXPECT_EQ(TreewidthExactDp(Graph::Grid(2, 7), nullptr), 2);
   Graph path(5);
   for (int i = 0; i + 1 < 5; ++i) path.AddEdge(i, i + 1);
-  EXPECT_EQ(TreewidthExact(path, nullptr), 1);
+  EXPECT_EQ(TreewidthExactDp(path, nullptr), 1);
   Graph isolated(4);
-  EXPECT_EQ(TreewidthExact(isolated, nullptr), 0);
+  EXPECT_EQ(TreewidthExactDp(isolated, nullptr), 0);
 }
 
 TEST(TreewidthTest, ExactOrderingProducesMatchingDecomposition) {
   Graph g = Graph::Grid(3, 3);
   std::vector<int> order;
-  int tw = TreewidthExact(g, &order);
+  int tw = TreewidthExactDp(g, &order);
   EXPECT_EQ(tw, 3);
   TreeDecomposition td = DecompositionFromOrdering(g, order);
   EXPECT_EQ(td.Width(), 3);
@@ -106,7 +106,7 @@ TEST(TreewidthTest, HeuristicsAreUpperBoundsAndMmdIsLower) {
         if (rng.NextBool(1, 3)) g.AddEdge(u, v);
       }
     }
-    int exact = TreewidthExact(g, nullptr);
+    int exact = TreewidthExactDp(g, nullptr);
     TreeDecomposition td_deg = DecompositionFromOrdering(g, MinDegreeOrdering(g));
     TreeDecomposition td_fill = DecompositionFromOrdering(g, MinFillOrdering(g));
     ASSERT_TRUE(td_deg.Validate(g).ok());
@@ -138,7 +138,7 @@ TEST(TreewidthTest, DisconnectedGraph) {
   g.AddEdge(0, 1);
   g.AddEdge(2, 3);
   g.AddEdge(4, 5);
-  EXPECT_EQ(TreewidthExact(g, nullptr), 1);
+  EXPECT_EQ(TreewidthExactDp(g, nullptr), 1);
   TreeDecomposition td = DecompositionFromOrdering(g, MinDegreeOrdering(g));
   EXPECT_TRUE(td.Validate(g).ok());  // roots chained into one tree
   EXPECT_EQ(td.Width(), 1);
@@ -153,14 +153,14 @@ TEST(GaifmanTest, Example21BlowupToClique) {
   for (int i = 1; i <= n; ++i) r->Insert({100, i});
   GaifmanGraph star = BuildGaifmanGraph(db);
   EXPECT_EQ(star.graph.num_vertices(), n + 1);
-  EXPECT_EQ(TreewidthExact(star.graph, nullptr), 1);
+  EXPECT_EQ(TreewidthExactDp(star.graph, nullptr), 1);
 
   Relation joined("Rp", 3);
   for (int i = 1; i <= n; ++i) {
     for (int j = 1; j <= n; ++j) joined.Insert({100, i, j});
   }
   GaifmanGraph clique = BuildGaifmanGraph({&joined});
-  EXPECT_EQ(TreewidthExact(clique.graph, nullptr), n);  // K_{n+1}
+  EXPECT_EQ(TreewidthExactDp(clique.graph, nullptr), n);  // K_{n+1}
 }
 
 TEST(GaifmanTest, ValueVertexMappingRoundTrip) {

@@ -48,8 +48,8 @@ TEST(IntegrationTest, Example21FullPipeline) {
       bound->exponent));
   GaifmanGraph before = BuildGaifmanGraph(db);
   GaifmanGraph after = BuildGaifmanGraph({&*result});
-  EXPECT_EQ(TreewidthExact(before.graph, nullptr), 1);
-  EXPECT_EQ(TreewidthExact(after.graph, nullptr), n);  // K_{n+1}
+  EXPECT_EQ(TreewidthExactDp(before.graph, nullptr), 1);
+  EXPECT_EQ(TreewidthExactDp(after.graph, nullptr), n);  // K_{n+1}
 }
 
 // The keyed variant of Example 2.1 kills both the size and the treewidth

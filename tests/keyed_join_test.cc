@@ -21,7 +21,7 @@ TEST(GridConstructionTest, SmallestInstanceExactTreewidth) {
   GaifmanGraph g = BuildGaifmanGraph(gc.db);
   EXPECT_EQ(g.graph.num_vertices(), 15);
   // Lemma 5.3: tw(G) = n.
-  EXPECT_EQ(TreewidthExact(g.graph, nullptr), 3);
+  EXPECT_EQ(TreewidthExactDp(g.graph, nullptr), 3);
 }
 
 TEST(GridConstructionTest, SecondAttributeIsKey) {

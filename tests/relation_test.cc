@@ -420,6 +420,62 @@ TEST(EquiJoinTest, MultiConditionJoin) {
   EXPECT_EQ(j.size(), 2u);  // exact matches only
 }
 
+TEST(EquiJoinTest, NoPairsIsTheCrossProductInRowOrder) {
+  Relation r("R", 1), s("S", 2);
+  for (Value v : {3, 1, 2}) r.Insert({v});
+  for (Value v : {9, 7}) s.Insert({v, v + 1});
+  const Relation j = EquiJoin(r, s, {});
+  const std::vector<Tuple> want = {{3, 9, 10}, {3, 7, 8}, {1, 9, 10},
+                                   {1, 7, 8},  {2, 9, 10}, {2, 7, 8}};
+  EXPECT_EQ(j.tuples(), want);
+}
+
+TEST(BinaryJoinTest, RepeatedVariableAtomFiltersAndJoinsInRowOrder) {
+  // S(Y,Y) binds Y first, so only S's diagonal rows enter its index; R is
+  // then indexed on Y, and each key's rows come out in ascending row order.
+  Database db;
+  Relation* r = db.AddRelation("R", 2);
+  Relation* s = db.AddRelation("S", 2);
+  for (Value x = 0; x < 6; ++x) r->Insert({x, x % 3});
+  for (Value y : {2, 0, 1}) {
+    s->Insert({y, y});
+    s->Insert({y, y + 1});
+  }
+  const auto q = ParseQuery("Q(X,Y) :- S(Y,Y), R(X,Y).");
+  ASSERT_TRUE(q.ok());
+  const std::vector<Tuple> want = {{2, 2}, {5, 2}, {0, 0},
+                                   {3, 0}, {1, 1}, {4, 1}};
+  for (PlanKind kind : {PlanKind::kNaive, PlanKind::kJoinProject}) {
+    EvalStats stats;
+    const auto got = EvaluateQuery(*q, db, kind, &stats);
+    ASSERT_TRUE(got.ok());
+    EXPECT_EQ(got->tuples(), want) << PlanKindName(kind);
+    EXPECT_EQ(stats.indexed_tuples, 3u + 6u) << PlanKindName(kind);
+  }
+  const auto gj = EvaluateQuery(*q, db, PlanKind::kGenericJoin);
+  ASSERT_TRUE(gj.ok());
+  EXPECT_EQ(gj->size(), want.size());
+}
+
+TEST(ValuePoolTest, TruncateThenReinternMintsTheSameIdsAgain) {
+  ValuePool pool;
+  for (int i = 0; i < 5000; ++i) pool.Intern(std::to_string(i));
+  pool.Truncate(1000);
+  ASSERT_EQ(pool.size(), 1000u);
+  // Kept spellings keep their ids; forgotten ones are minted afresh, in
+  // first-seen order, across the slot table's rebuilds.
+  for (int i = 999; i >= 0; --i) {
+    ASSERT_EQ(pool.Intern(std::to_string(i)), i);
+  }
+  for (int i = 4999; i >= 1000; --i) {
+    ASSERT_EQ(pool.Intern(std::to_string(i)), 1000 + (4999 - i));
+  }
+  pool.Truncate(0);
+  EXPECT_EQ(pool.Intern("7"), 0);
+  EXPECT_EQ(pool.Intern("x"), 1);
+  EXPECT_EQ(pool.Spelling(1), "x");
+}
+
 TEST(GeneratorTest, RandomDatabaseSatisfiesFds) {
   auto q = ParseQuery(
       "Q(X,Y,Z) :- R(X,Y,Z), S(X,Y).\n"

@@ -3,8 +3,10 @@
 // windows into its cached SemijoinState; after each one a fresh context
 // runs the full pass over the same database, and every book must agree:
 // each atom's drop-step array (hence its survivor set and every row's
-// first dropping step), each step's key support counts, the dangling
-// census, the survivor tries' keys, and the evaluation's EvalStats. The
+// first dropping step), each step's key support counts (every key at a
+// positive count, with its count; a key at count 0 reads as absent), the
+// dangling census, the survivor tries' keys, and the evaluation's
+// EvalStats. The
 // instance joins on about 1% of its keys, so almost every row dangles --
 // the regime where a pass that scans the dangling rows costs O(base)
 // instead of O(delta).
@@ -14,7 +16,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
-#include <unordered_map>
+#include <map>
 #include <vector>
 
 #include "cq/parser.h"
@@ -76,8 +78,8 @@ struct Books {
   std::vector<std::vector<std::uint32_t>> drop_step;
   std::vector<std::size_t> dangling;
   std::vector<bool> all_survive;
-  std::vector<std::unordered_map<Tuple, std::uint32_t, TupleHash>>
-      step_counts;
+  /// Per step: every key at a positive count, with its count.
+  std::vector<std::map<Tuple, std::uint32_t>> step_counts;
   std::vector<std::vector<Tuple>> survivor_keys;
   std::size_t built_indexes = 0;
 };
@@ -90,15 +92,51 @@ Books ReadBooks(EvalContext* ctx, const Query& q) {
   books.drop_step = state.drop_step;
   books.dangling = state.dangling;
   books.all_survive = state.all_survive;
-  books.step_counts = state.step_counts;
+  for (const KeyCounts& counts : state.step_counts) {
+    std::map<Tuple, std::uint32_t>& positive = books.step_counts.emplace_back();
+    for (std::uint32_t id = 0; id < counts.size(); ++id) {
+      if (counts.count(id) == 0) continue;
+      const Value* key = counts.key(id);
+      positive.emplace(Tuple(key, key + counts.width()), counts.count(id));
+    }
+  }
   for (const auto& trie : state.survivor_tries) {
     books.survivor_keys.push_back(trie != nullptr ? TrieKeys(*trie)
                                                   : std::vector<Tuple>{});
   }
-  for (const SemijoinState::KeyRows& index : state.key_rows) {
-    books.built_indexes += index.slots.empty() ? 0 : 1;
+  for (const SemijoinState::TargetKeyRows& index : state.key_rows) {
+    books.built_indexes += index.built() ? 1 : 0;
   }
   return books;
+}
+
+// A window that only raises the support of keys already present moves no
+// key across zero, so the delta pass reads the window's rows and no key
+// index: nothing is killed or revived.
+TEST(SemijoinDeltaTest, SupportRaisedOnAPresentKeyWalksNoChain) {
+  const Query q = ParseQuery(kQuery).ValueOrDie();
+  Database db;
+  Relation* r = db.AddRelation("R", 3);
+  Relation* s = db.AddRelation("S", 3);
+  Relation* t = db.AddRelation("T", 3);
+  for (Value c = 0; c < 5; ++c) {
+    r->Insert({c, 99, c});
+    r->Insert({c, 7, c});  // dangling: no S row carries B = 7
+    s->Insert({99, c, 40});
+  }
+  t->Insert({40, 40, 1});
+  EvalContext ctx(db);
+  ASSERT_TRUE(EvaluateQuery(q, db, PlanKind::kHybridYannakakis, &ctx, nullptr)
+                  .ok());
+  r->Insert({9, 99, 0});  // key (99, 0) is already supported
+  EvalStats stats;
+  const Result<Relation> out =
+      EvaluateQuery(q, db, PlanKind::kHybridYannakakis, &ctx, &stats);
+  ASSERT_TRUE(out.ok());
+  EXPECT_EQ(out->size(), 6u);
+  EXPECT_TRUE(stats.semijoin_delta_pass);
+  EXPECT_EQ(stats.semijoin_rows_visited, 1u);
+  EXPECT_EQ(stats.semijoin_killed_tuples + stats.semijoin_revived_tuples, 0u);
 }
 
 TEST(SemijoinDeltaTest, BooksEqualAFullPassOnChainedWindows) {

@@ -8,11 +8,11 @@ namespace cqbounds {
 namespace {
 
 TEST(TreewidthBbTest, KnownFamilies) {
-  EXPECT_EQ(TreewidthBranchAndBound(Graph::Complete(6)), 5);
-  EXPECT_EQ(TreewidthBranchAndBound(Graph::Cycle(7)), 2);
-  EXPECT_EQ(TreewidthBranchAndBound(Graph::Grid(3, 4)), 3);
-  EXPECT_EQ(TreewidthBranchAndBound(Graph(5)), 0);   // no edges
-  EXPECT_EQ(TreewidthBranchAndBound(Graph(0)), -1);  // empty graph
+  EXPECT_EQ(TreewidthExact(Graph::Complete(6)).width, 5);
+  EXPECT_EQ(TreewidthExact(Graph::Cycle(7)).width, 2);
+  EXPECT_EQ(TreewidthExact(Graph::Grid(3, 4)).width, 3);
+  EXPECT_EQ(TreewidthExact(Graph(5)).width, 0);   // no edges
+  EXPECT_EQ(TreewidthExact(Graph(0)).width, -1);  // empty graph
 }
 
 TEST(TreewidthBbTest, SimplicialRuleHandlesTrees) {
@@ -22,7 +22,7 @@ TEST(TreewidthBbTest, SimplicialRuleHandlesTrees) {
   for (int v = 1; v < 16; ++v) {
     tree.AddEdge(v, static_cast<int>(rng.NextBelow(v)));
   }
-  EXPECT_EQ(TreewidthBranchAndBound(tree), 1);
+  EXPECT_EQ(TreewidthExact(tree).width, 1);
 }
 
 // The two independent exact algorithms must agree on random graphs.
@@ -38,8 +38,8 @@ TEST_P(ExactCrossValidationTest, DpEqualsBranchAndBound) {
         if (rng.NextBool(1 + rng.NextBelow(3), 5)) g.AddEdge(u, v);
       }
     }
-    int dp = TreewidthExact(g, nullptr);
-    int bb = TreewidthBranchAndBound(g);
+    int dp = TreewidthExactDp(g, nullptr);
+    int bb = TreewidthExact(g).width;
     ASSERT_EQ(dp, bb) << "n=" << n << " edges=" << g.num_edges();
   }
 }
