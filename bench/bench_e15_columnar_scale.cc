@@ -122,21 +122,18 @@ void PrintTables() {
 
   // --- Bulk ingestion ------------------------------------------------------
   std::cout << "InsertFlat bulk ingestion of the successor cycle, every edge "
-               "fed twice\n(one dedup pass, one sealed segment, one journal "
-               "bump of exactly the\nrows added):\n";
-  bench::Table ingest({"rows fed", "rows added", "generation", "segments",
-                       "dict values"});
+               "fed twice\n(one dedup pass, one journal bump of exactly the "
+               "rows added):\n";
+  bench::Table ingest({"rows fed", "rows added", "generation", "dict values"});
   for (std::size_t n : {kScale / 100, kScale / 10, kScale}) {
     Relation r("E", 2);
     const std::vector<Value> flat = CycleFlat(n, 2);
     const std::size_t added = r.InsertFlat(flat, 2 * n);
     CQB_CHECK(added == n);                   // half the candidates were dupes
     CQB_CHECK(r.generation() == n);          // one bump of `added`
-    CQB_CHECK(r.store().segments().size() == 1);
     CQB_CHECK(r.store().dict().size() == n);  // values 0..n-1
     ingest.AddRow({bench::Num(2 * n), bench::Num(added),
                    bench::Num(static_cast<std::size_t>(r.generation())),
-                   bench::Num(r.store().segments().size()),
                    bench::Num(r.store().dict().size())});
   }
   ingest.Print();

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """cqb_lint: repo-specific static checks for cqbounds.
 
-Six rule classes, each encoding an invariant the general-purpose toolchain
+Seven rule classes, each encoding an invariant the general-purpose toolchain
 cannot see (run `--explain <rule>` for the full rationale and the fix):
 
   include-guard       header guards spell CQBOUNDS_<PATH>_H_ exactly
@@ -14,6 +14,9 @@ cannot see (run `--explain <rule>` for the full rationale and the fix):
                       therefore lands in the --json dump)
   raw-row-access      library code outside src/relation/ reads rows through
                       ColumnStore, never the materializing tuples() accessor
+  tuple-keyed-container
+                      src/ keys no std map or set on Tuple: key -> row and
+                      key -> count lookups go through the slot table
 
 Stdlib-only and offline by design: it must run in the bare CI lint job and
 in the network-less dev container. Regex-grade parsing, not a compiler --
@@ -561,6 +564,52 @@ is visible at the call site. For liveness, use IsLive()/live_size()."""
                 yield self.finding(lf, lf.line_of(m.start()), message)
 
 
+class TupleKeyedContainerRule(Rule):
+    NAME = "tuple-keyed-container"
+    SUMMARY = ("src/ keys no std::map/std::set/std::unordered_* on Tuple: "
+               "tuple-keyed lookups go through the relation layer's slot "
+               "table (relation/slot_table.h)")
+    EXPLAIN = """\
+Every "key -> row", "key -> count" and "key -> first value" lookup of the
+relation layer sits on one open-addressing slot table
+(relation/slot_table.h): the value dictionary, the row index, the semi-join
+books (KeyCounts), the target-key chains (KeyRows) and the functional-
+dependency pass (ForEachFirstDependent, relation/key_index.h). A
+std::map<Tuple, ...> or std::unordered_map<Tuple, ...> spends a heap node
+plus a heap Tuple per key, and the tree form O(log n) Tuple compares per
+probe; keeping that decision behind one module is what lets one change
+(a new hash, a new load bound, code-space keys) reach every lookup.
+
+The rule flags, in src/**/*.{h,cc}, any std::map, std::multimap,
+std::set, std::multiset or std::unordered_{map,set,multimap,multiset}
+whose key type is Tuple (or its spelling std::vector<Value>). A Tuple as
+the mapped value, and a pointer-keyed container, do not match. Tests,
+benches and examples are out of scope: there an ordered std::map is the
+readable reference an assertion compares against.
+
+Fix: use KeyCounts (a dense id per key, with a count) or KeyRows (a key's
+rows) from relation/key_index.h, or a ColumnStore's row index. Where the
+iteration ORDER of an ordered map is part of the result (a sum whose
+floating-point rounding follows key order, say), the map is the design:
+allowlist the file with that reason."""
+
+    KEYED = re.compile(
+        r"\bstd\s*::\s*(?:unordered_)?(?:multi)?(?:map|set)\s*<\s*"
+        r"(?:const\s+)?(?:cqbounds\s*::\s*)?"
+        r"(?:Tuple\b|std\s*::\s*vector\s*<\s*Value\s*>)(?!\s*\*)")
+
+    def check(self, files):
+        for lf in files:
+            if not lf.relpath.startswith("src/"):
+                continue
+            for m in self.KEYED.finditer(lf.code):
+                yield self.finding(
+                    lf, lf.line_of(m.start()),
+                    "Tuple-keyed std container in src/: key a KeyCounts or "
+                    "KeyRows (relation/key_index.h) on the slot table "
+                    "instead")
+
+
 RULES = [
     IncludeGuardRule(),
     NakedMutexRule(),
@@ -568,6 +617,7 @@ RULES = [
     StatsResetRule(),
     BenchTableDumpRule(),
     RawRowAccessRule(),
+    TupleKeyedContainerRule(),
 ]
 
 

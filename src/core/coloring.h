@@ -20,9 +20,6 @@ struct Coloring {
   /// Union of the labels of `vars`.
   std::set<int> UnionOver(const std::set<int>& vars) const;
 
-  /// Total number of distinct colors used.
-  int NumColors() const;
-
   bool AnyNonEmpty() const;
 
   std::string ToString(const Query& query) const;

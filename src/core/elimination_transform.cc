@@ -148,7 +148,7 @@ Result<EliminationTransformResult> EliminateSimpleFdsWithDatabase(
         "E" + std::to_string(a) + "_" + query.atoms()[a - 1].relation;
     Relation* rel = out.db.AddRelation(
         name, static_cast<int>(atom_vars[a].size()));
-    rel->InsertBatch(atom_tuples[a]);
+    for (const Tuple& t : atom_tuples[a]) rel->Insert(t);
     out.query.AddAtom(name, std::move(vars));
   }
   CQB_RETURN_NOT_OK(out.query.Validate());

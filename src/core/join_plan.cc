@@ -96,11 +96,6 @@ Result<JoinPlan> BuildJoinProjectPlan(const Query& query) {
   return plan;
 }
 
-Result<Relation> ExecuteJoinPlan(const Query& query, const JoinPlan& plan,
-                                 const Database& db, EvalStats* stats) {
-  return ExecuteJoinSteps(query, plan.steps, db, stats);
-}
-
 const char* VariableOrderSourceName(VariableOrderSource source) {
   switch (source) {
     case VariableOrderSource::kTreeDecomposition: return "tree-decomposition";
@@ -121,10 +116,6 @@ std::string GenericJoinOrder::ToString(const Query& query) const {
     os << query.variable_name(order[i]);
   }
   return os.str();
-}
-
-Result<GenericJoinOrder> ChooseGenericJoinOrder(const Query& query) {
-  return ChooseGenericJoinOrder(query, /*ctx=*/nullptr);
 }
 
 Result<GenericJoinOrder> ChooseGenericJoinOrder(const Query& query,

@@ -42,17 +42,6 @@ struct JoinPlan {
 ///  - the cost exponent is C(chase(Q)) + 1 from the simple-FD pipeline.
 Result<JoinPlan> BuildJoinProjectPlan(const Query& query);
 
-/// Executes `plan` over `db`, producing Q(D), through the shared
-/// binary-join executor (ExecuteJoinSteps, relation/evaluate.h), which
-/// validates the whole plan first: kInvalidArgument unless every atom
-/// occurs exactly once, every kept variable is bound by the prefix, no step
-/// drops a variable a later atom uses, and every head variable is kept by
-/// the last step. Equivalent to EvaluateQuery(query, db,
-/// PlanKind::kJoinProject) up to join order; tests assert result equality.
-/// `stats` may be null.
-Result<Relation> ExecuteJoinPlan(const Query& query, const JoinPlan& plan,
-                                 const Database& db, EvalStats* stats);
-
 /// How ChooseGenericJoinOrder derived its variable order.
 enum class VariableOrderSource {
   /// Reverse elimination order of the certified TreewidthExact decomposition
@@ -100,16 +89,14 @@ struct GenericJoinOrder {
 /// heuristic), and runs the exact treewidth engine on the query's
 /// variable-intersection graph, preferring the certified elimination order
 /// when the graph is low-width (<= 2; chains, trees, cycles, triangles).
-Result<GenericJoinOrder> ChooseGenericJoinOrder(const Query& query);
-
-/// As above, sharing `ctx`'s plan tier (relation/eval_context.h) for the
+///
+/// A non-null `ctx` shares its plan tier (relation/eval_context.h) for the
 /// treewidth probe: the planner and the hybrid executor then derive their
 /// low-width certificates from the same cached entry, so planning a query
 /// that was already evaluated (or evaluating one that was already planned)
-/// re-runs zero TreewidthExact calls. `ctx` may be null (identical to the
-/// overload above).
+/// re-runs zero TreewidthExact calls. A null `ctx` runs the probe afresh.
 Result<GenericJoinOrder> ChooseGenericJoinOrder(const Query& query,
-                                                EvalContext* ctx);
+                                                EvalContext* ctx = nullptr);
 
 }  // namespace cqbounds
 

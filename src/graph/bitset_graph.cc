@@ -44,21 +44,9 @@ int VertexBitset::First() const {
   return -1;
 }
 
-void VertexBitset::InplaceAnd(const VertexBitset& other) {
-  CQB_CHECK(universe_ == other.universe_);
-  for (std::size_t i = 0; i < blocks_.size(); ++i) blocks_[i] &= other.blocks_[i];
-}
-
 void VertexBitset::InplaceOr(const VertexBitset& other) {
   CQB_CHECK(universe_ == other.universe_);
   for (std::size_t i = 0; i < blocks_.size(); ++i) blocks_[i] |= other.blocks_[i];
-}
-
-void VertexBitset::InplaceAndNot(const VertexBitset& other) {
-  CQB_CHECK(universe_ == other.universe_);
-  for (std::size_t i = 0; i < blocks_.size(); ++i) {
-    blocks_[i] &= ~other.blocks_[i];
-  }
 }
 
 int VertexBitset::CountAnd(const VertexBitset& other) const {

@@ -57,9 +57,7 @@ class VertexBitset {
   int First() const;
 
   /// Word-parallel set algebra; `this` is the destination. O(n/64).
-  void InplaceAnd(const VertexBitset& other);
   void InplaceOr(const VertexBitset& other);
-  void InplaceAndNot(const VertexBitset& other);
 
   /// |this & other| without materializing the intersection. O(n/64).
   int CountAnd(const VertexBitset& other) const;

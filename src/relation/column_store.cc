@@ -66,39 +66,6 @@ void ColumnStore::ReserveRows(std::size_t rows) {
   });
 }
 
-bool ColumnStore::AppendCodedRow(const std::uint32_t* codes) {
-  ReserveRows(rows_ + 1);
-  const std::size_t slot = ProbeSlot(codes);
-  const bool over_dead =
-      slots_[slot] != kEmptySlot && !IsLive(slots_[slot]);
-  if (slots_[slot] != kEmptySlot && !over_dead) return false;
-  CQB_CHECK(rows_ < kEmptySlot);
-  // Re-appending a tombstoned tuple mints a NEW physical row (ids never
-  // resurrect, so journaled removals stay valid) and re-points the dead
-  // row's slot at it, keeping one indexed slot per code-set.
-  slots_[slot] = static_cast<std::uint32_t>(rows_);
-  for (int c = 0; c < arity_; ++c) {
-    columns_[static_cast<std::size_t>(c)].push_back(codes[c]);
-  }
-  if (!dead_.empty()) dead_.push_back(false);
-  ++rows_;
-  return true;
-}
-
-void ColumnStore::RecordAppend(std::size_t first_row, std::size_t added,
-                               bool seal) {
-  if (added == 0) return;
-  // Single appends coalesce into the trailing segment -- unless it was
-  // sealed by a batch, whose boundary must survive later appends.
-  if (!seal && !trailing_sealed_ && !segments_.empty() &&
-      segments_.back().end == first_row) {
-    segments_.back().end = first_row + added;
-    return;
-  }
-  segments_.push_back(Segment{first_row, first_row + added});
-  trailing_sealed_ = seal;
-}
-
 std::uint32_t ColumnStore::LiveRowOf(const Tuple& t,
                                      std::uint32_t* codes) const {
   CQB_CHECK(static_cast<int>(t.size()) == arity_);
@@ -118,24 +85,8 @@ bool ColumnStore::Contains(const Tuple& t) const {
 
 bool ColumnStore::Append(const Tuple& t) {
   CQB_CHECK(static_cast<int>(t.size()) == arity_);
-  for (int c = 0; c < arity_; ++c) {
-    scratch_[static_cast<std::size_t>(c)] =
-        dict_.Intern(t[static_cast<std::size_t>(c)]);
-  }
-  const std::size_t first = rows_;
-  if (!AppendCodedRow(scratch_.data())) return false;
-  RecordAppend(first, 1, /*seal=*/false);
-  return true;
-}
-
-std::size_t ColumnStore::AppendBatch(const std::vector<Tuple>& batch) {
-  std::vector<RowSpan> spans;
-  spans.reserve(batch.size());
-  for (const Tuple& t : batch) {
-    CQB_CHECK(static_cast<int>(t.size()) == arity_);
-    spans.push_back(RowSpan{t.data(), 1});
-  }
-  return AppendRows(spans.data(), spans.size());
+  ReserveRows(rows_ + 1);
+  return AppendRow(t.data());
 }
 
 std::size_t ColumnStore::AppendRows(const RowSpan* spans,
@@ -150,19 +101,31 @@ std::size_t ColumnStore::AppendRows(const RowSpan* spans,
     if (col.capacity() < want) col.reserve(std::max(want, 2 * col.capacity()));
   }
   const std::size_t first = rows_;
-  std::size_t added = 0;
   const std::size_t width = static_cast<std::size_t>(arity_);
   for (std::size_t i = 0; i < num_spans; ++i) {
-    const Value* values = spans[i].values;
     for (std::size_t r = 0; r < spans[i].rows; ++r) {
-      for (std::size_t c = 0; c < width; ++c) {
-        scratch_[c] = dict_.Intern(values[r * width + c]);
-      }
-      if (AppendCodedRow(scratch_.data())) ++added;
+      AppendRow(spans[i].values + r * width);
     }
   }
-  RecordAppend(first, added, /*seal=*/true);
-  return added;
+  return rows_ - first;
+}
+
+bool ColumnStore::AppendRow(const Value* values) {
+  const std::size_t width = static_cast<std::size_t>(arity_);
+  for (std::size_t c = 0; c < width; ++c) {
+    scratch_[c] = dict_.Intern(values[c]);
+  }
+  const std::size_t slot = ProbeSlot(scratch_.data());
+  if (slots_[slot] != kEmptySlot && IsLive(slots_[slot])) return false;
+  CQB_CHECK(rows_ < kEmptySlot);
+  // Re-appending a tombstoned tuple mints a NEW physical row (ids never
+  // resurrect, so journaled removals stay valid) and re-points the dead
+  // row's slot at it, keeping one indexed slot per code-set.
+  slots_[slot] = static_cast<std::uint32_t>(rows_);
+  for (std::size_t c = 0; c < width; ++c) columns_[c].push_back(scratch_[c]);
+  if (!dead_.empty()) dead_.push_back(false);
+  ++rows_;
+  return true;
 }
 
 std::size_t ColumnStore::AppendFlat(const std::vector<Value>& flat,
@@ -220,9 +183,6 @@ void ColumnStore::Compact() {
   dead_count_ = 0;
   slots_ = RowIndex();
   ReserveRows(rows_);
-  segments_.clear();
-  if (rows_ != 0) segments_.push_back(Segment{0, rows_});
-  trailing_sealed_ = false;
 }
 
 void ColumnStore::Clear() {
@@ -232,8 +192,6 @@ void ColumnStore::Clear() {
   dead_.clear();
   dead_count_ = 0;
   slots_ = RowIndex();
-  segments_.clear();
-  trailing_sealed_ = false;
 }
 
 ColumnStats ColumnStore::Stats(int col) const {

@@ -84,12 +84,10 @@ class ValueDictionary {
 /// resurrect), and the row index always points at the newest row for a
 /// code-set.
 ///
-/// Rows are grouped into *segments*: segment 0 is the base (the rows present
-/// as of the last structural mutation) and every bulk append seals one new
-/// segment; single-row appends extend the trailing append segment. The
-/// segment list is the columnar form of Relation's append journal -- a
-/// reader holding a row-count watermark finds everything appended since as
-/// the suffix [watermark, size()).
+/// The store keeps no journal of its own. Appends only extend the columns,
+/// so the rows appended after a row-count watermark are the suffix
+/// [watermark, size()), and Relation's journal (Relation::DeltasSince)
+/// finds that watermark from generation numbers alone.
 ///
 /// Same concurrency contract as Relation (externally synchronized:
 /// readers-xor-writer, owned by EvalContext's documented discipline). All
@@ -97,15 +95,9 @@ class ValueDictionary {
 /// so any number of concurrent readers are safe between mutations.
 class ColumnStore {
  public:
-  /// One contiguous run of rows appended together: [begin, end).
-  struct Segment {
-    std::size_t begin = 0;
-    std::size_t end = 0;
-  };
-
   /// What Erase did. kTombstoned leaves row ids stable (delta-friendly);
   /// kCompacted means the deferred compaction ran -- row ids and codes
-  /// shifted and the segment list collapsed, a structural mutation.
+  /// shifted, a structural mutation.
   enum class EraseResult { kNotFound, kTombstoned, kCompacted };
 
   explicit ColumnStore(int arity);
@@ -145,13 +137,9 @@ class ColumnStore {
   bool Contains(const Tuple& t) const;
 
   /// Appends `t` unless already present; returns true iff a row was added.
-  /// Extends the trailing append segment.
+  /// A one-row AppendRows: the same per-row step, without the batch
+  /// pre-sizing.
   bool Append(const Tuple& t);
-
-  /// Bulk appends with one dedup pass (each candidate is a single probe of
-  /// the row index -- no per-tuple node allocation). Returns the number of
-  /// rows actually added; seals them as one new segment when nonzero.
-  std::size_t AppendBatch(const std::vector<Tuple>& batch);
 
   /// A borrowed run of `rows` row-major rows: `rows * arity()` values
   /// starting at `values` (which a nullary store never reads).
@@ -164,8 +152,8 @@ class ColumnStore {
   /// order, with set semantics -- each row is one probe of the row index,
   /// and a row equal to an existing or earlier one is dropped. The columns
   /// and the slot table are pre-sized once for the spans' total, values are
-  /// interned straight from the caller's buffers (no Tuple per row), and
-  /// the rows actually added seal one new segment. Returns their number.
+  /// interned straight from the caller's buffers (no Tuple per row).
+  /// Returns the number of rows actually added.
   std::size_t AppendRows(const RowSpan* spans, std::size_t num_spans);
 
   /// AppendRows over one vector of row-major values: `flat` holds
@@ -176,7 +164,7 @@ class ColumnStore {
   /// ids stable, the open-addressing index untouched. When the tombstone
   /// pushes the dead fraction past the compaction threshold (dead rows >
   /// 1/4 of physical rows) the store compacts instead -- O(size * arity),
-  /// row ids and codes shift, segments collapse -- and reports kCompacted
+  /// row ids and codes shift -- and reports kCompacted
   /// so the journal above can record the structural break. On kTombstoned,
   /// `*removed_row` (when non-null) receives the tombstoned row id.
   EraseResult Erase(const Tuple& t, std::uint32_t* removed_row = nullptr);
@@ -186,9 +174,6 @@ class ColumnStore {
   void Clear();
 
   const ValueDictionary& dict() const { return dict_; }
-
-  /// Live segments, in row order, partitioning [0, size()).
-  const std::vector<Segment>& segments() const { return segments_; }
 
   /// min/max/distinct over the LIVE rows of column `col`, one scan. Pure
   /// read.
@@ -210,15 +195,13 @@ class ColumnStore {
   /// Deferred structural pass: copies the live rows down in order,
   /// re-interning their values into a fresh dictionary (so it holds exactly
   /// the live rows' distinct values, coded in first-seen row order), drops
-  /// the tombstone bitmap, rebuilds the index, collapses segments to one
-  /// base segment. Row ids and codes change.
+  /// the tombstone bitmap and rebuilds the index. Row ids and codes change.
   void Compact();
-  /// Probes and appends one coded row; true iff it was new. Does not touch
-  /// segments (callers manage segment boundaries).
-  bool AppendCodedRow(const std::uint32_t* codes);
-  /// Extends the trailing append segment by `added` rows, or opens a new
-  /// one at `first_row` when `seal` asks for a fresh segment boundary.
-  void RecordAppend(std::size_t first_row, std::size_t added, bool seal);
+  /// The one intern/probe/append step of both append doors: interns the
+  /// arity() values at `values`, and appends them as a new row unless a
+  /// live row holds them. True iff a row was added. Requires the row index
+  /// sized for one more row.
+  bool AppendRow(const Value* values);
 
   int arity_;
   ValueDictionary dict_;
@@ -231,11 +214,6 @@ class ColumnStore {
   /// Open-addressing row index: slot -> row id, kEmptySlot when free. A
   /// slot may point at a tombstoned row until that tuple is re-appended.
   RowIndex slots_;
-  std::vector<Segment> segments_;
-  /// True when the trailing segment was sealed by a bulk append: its
-  /// boundary is a journal fact, so later single appends open a new segment
-  /// instead of growing it.
-  bool trailing_sealed_ = false;
   /// Scratch code buffer for probe/append paths (non-const methods only).
   std::vector<std::uint32_t> scratch_;
 };

@@ -1,6 +1,5 @@
 #include "relation/eval_context.h"
 
-#include <functional>
 #include <sstream>
 
 #include "relation/evaluate.h"
@@ -34,17 +33,6 @@ std::string PlanSignature(const Query& query) {
 
 }  // namespace
 
-EvalContext::Shard& EvalContext::ShardFor(const Key& key) {
-  // Name + layout shape: two layouts of one relation land on (usually)
-  // different stripes, so even single-relation self-join workloads spread.
-  std::size_t h = std::hash<std::string>{}(key.first);
-  for (const std::vector<int>& level : key.second) {
-    h = h * 1315423911u + level.size();
-    for (int p : level) h = h * 2654435761u + static_cast<std::size_t>(p) + 1;
-  }
-  return shards_[h % kNumShards];
-}
-
 std::shared_ptr<const TrieIndex> EvalContext::GetTrie(
     const Relation& rel, const std::vector<std::vector<int>>& level_positions,
     EvalStats* stats) {
@@ -54,14 +42,13 @@ std::shared_ptr<const TrieIndex> EvalContext::GetTrie(
   CQB_CHECK(OwnsRelation(rel) &&
             "relation does not belong to the context's database");
   Key key{rel.name(), level_positions};
-  Shard& shard = ShardFor(key);
   const std::uint64_t generation = rel.generation();
   std::shared_ptr<const TrieIndex> stale_base;
   std::uint64_t stale_base_generation = 0;
   {
-    MutexLock lock(shard.mu);
-    auto it = shard.entries.find(key);
-    if (it != shard.entries.end()) {
+    MutexLock lock(mu_);
+    auto it = tries_.find(key);
+    if (it != tries_.end()) {
       if (it->second.generation == generation) {
         hits_.fetch_add(1, std::memory_order_relaxed);
         if (stats != nullptr) ++stats->trie_cache_hits;
@@ -75,8 +62,8 @@ std::shared_ptr<const TrieIndex> EvalContext::GetTrie(
       stale_base_generation = it->second.generation;
     }
   }
-  // Build outside the stripe lock: a slow cold build must not block other
-  // threads' hits on same-stripe keys. Two threads racing the same stale
+  // Build outside the lock: a slow cold build must not block other
+  // threads' hits or plan lookups. Two threads racing the same stale
   // entry may both build -- from the same relation state (mutations are
   // excluded during evaluation), so either result is correct; last insert
   // wins and the loser's trie lives on via its own shared_ptr.
@@ -94,26 +81,19 @@ std::shared_ptr<const TrieIndex> EvalContext::GetTrie(
     appended.rows = std::move(deltas.appended_rows);
     RowView removed(&rel.store());
     removed.rows = std::move(deltas.removed_rows);
-    if (removed.empty()) {
-      patches_.fetch_add(1, std::memory_order_relaxed);
-      if (stats != nullptr) ++stats->trie_patches;
-    } else {
-      unpatches_.fetch_add(1, std::memory_order_relaxed);
-      if (stats != nullptr) ++stats->trie_unpatches;
-    }
     if (stats != nullptr) {
+      ++(removed.empty() ? stats->trie_patches : stats->trie_unpatches);
       stats->delta_tuples_processed += appended.size() + removed.size();
     }
     trie = std::make_shared<const TrieIndex>(*stale_base, appended, removed,
                                              level_positions);
   } else {
-    rebuilds_.fetch_add(1, std::memory_order_relaxed);
     if (stats != nullptr) ++stats->trie_rebuilds;
     trie = std::make_shared<const TrieIndex>(rel, level_positions);
   }
   {
-    MutexLock lock(shard.mu);
-    Entry& entry = shard.entries[std::move(key)];
+    MutexLock lock(mu_);
+    Entry& entry = tries_[std::move(key)];
     entry.generation = generation;
     entry.trie = trie;
   }
@@ -126,7 +106,7 @@ EvalContext::CachedPlan& EvalContext::GetPlan(const Query& query,
   CachedPlan* plan;
   bool inserted;
   {
-    MutexLock lock(plan_mu_);
+    MutexLock lock(mu_);
     auto [it, is_new] = plans_.try_emplace(std::move(key));
     plan = &it->second;
     inserted = is_new;
@@ -153,25 +133,18 @@ EvalContext::CachedPlan& EvalContext::GetPlan(const Query& query,
 }
 
 std::size_t EvalContext::size() const {
-  std::size_t total = 0;
-  for (const Shard& shard : shards_) {
-    MutexLock lock(shard.mu);
-    total += shard.entries.size();
-  }
-  return total;
+  MutexLock lock(mu_);
+  return tries_.size();
 }
 
 std::size_t EvalContext::plan_size() const {
-  MutexLock lock(plan_mu_);
+  MutexLock lock(mu_);
   return plans_.size();
 }
 
 void EvalContext::Clear() {
-  for (Shard& shard : shards_) {
-    MutexLock lock(shard.mu);
-    shard.entries.clear();
-  }
-  MutexLock lock(plan_mu_);
+  MutexLock lock(mu_);
+  tries_.clear();
   plans_.clear();
 }
 

@@ -85,9 +85,11 @@ struct LowWidthProbe {
 /// (the shared-memo-table shape of a chess engine's transposition table
 /// serving N search threads):
 ///
-///  - the trie tier is sharded into lock-striped buckets, so lookups on
-///    different relations rarely contend, and entries hold the trie behind
-///    a shared_ptr -- a thread holding a trie keeps it alive even while
+///  - one mutex guards both tier maps. It is held only for a map lookup or
+///    insertion, never across a trie build or a treewidth probe, and
+///    GetTrie runs on the evaluating thread before the pool fans out, so
+///    the lock is not contended in practice. Trie entries hold the trie
+///    behind a shared_ptr -- a thread holding a trie keeps it alive even while
 ///    another thread concurrently replaces the entry after a mutation, so
 ///    no reader ever observes a dangling or half-built index. Two threads
 ///    racing a cold (or stale) entry may both build; the duplicate build is
@@ -98,7 +100,7 @@ struct LowWidthProbe {
 ///    one TreewidthExact probe total, with late arrivals blocking until it
 ///    lands; the per-entry semi-join skip state is guarded by its own
 ///    mutex (see CachedPlan);
-///  - lifetime counters are atomics.
+///  - lifetime hit and miss counters are atomics.
 ///
 /// What stays on the caller: **relation mutations must not overlap
 /// evaluations** through the context (the standard readers-xor-writer
@@ -111,7 +113,7 @@ struct LowWidthProbe {
 /// The intra-context part of this contract is machine-checked: every
 /// mutex-guarded member carries a CQB_GUARDED_BY annotation
 /// (util/thread_annotations.h), so a Clang build with
-/// -DCQBOUNDS_THREAD_SAFETY=ON fails to compile any access to `entries`,
+/// -DCQBOUNDS_THREAD_SAFETY=ON fails to compile any access to `tries_`,
 /// `plans_`, or a plan's `semijoin` state outside its lock. See
 /// docs/STATIC_ANALYSIS.md.
 class EvalContext {
@@ -269,20 +271,6 @@ class EvalContext {
   std::size_t plan_misses() const {
     return plan_misses_.load(std::memory_order_relaxed);
   }
-  /// Of the lifetime misses: how many were served by the delta constructor
-  /// over a window with no removed rows (patches), by the same constructor
-  /// over a window with removals (unpatches), or by rebuilding from
-  /// scratch. patches() + unpatches() + rebuilds() == misses() for this
-  /// tier.
-  std::size_t patches() const {
-    return patches_.load(std::memory_order_relaxed);
-  }
-  std::size_t unpatches() const {
-    return unpatches_.load(std::memory_order_relaxed);
-  }
-  std::size_t rebuilds() const {
-    return rebuilds_.load(std::memory_order_relaxed);
-  }
 
   /// Number of distinct (relation, layout) tries currently cached.
   std::size_t size() const;
@@ -301,31 +289,16 @@ class EvalContext {
     std::shared_ptr<const TrieIndex> trie;
   };
 
-  /// Lock striping: keys hash onto a fixed set of independently locked
-  /// buckets, so concurrent lookups of different relations (or layouts)
-  /// proceed without contention. 16 shards is plenty for the handful of
-  /// atoms per query; the stripe count only bounds *lock* parallelism, not
-  /// entry capacity.
-  static constexpr std::size_t kNumShards = 16;
-  struct Shard {
-    mutable Mutex mu;
-    std::map<Key, Entry> entries CQB_GUARDED_BY(mu);
-  };
-
-  Shard& ShardFor(const Key& key);
-
   const Database* db_;
-  Shard shards_[kNumShards];
-  /// Guards the plans_ *map structure* (insertions, Clear), never the
-  /// entries behind it: GetPlan hands out stable CachedPlan references
-  /// whose mutable state has its own per-plan capability (skip_mu).
-  mutable Mutex plan_mu_;
-  std::map<std::string, CachedPlan> plans_ CQB_GUARDED_BY(plan_mu_);
+  /// Guards both tier *maps* (lookups, insertions, Clear), never the
+  /// entries behind them: a trie is immutable and handed out by
+  /// shared_ptr, and GetPlan hands out stable CachedPlan references whose
+  /// mutable state has its own per-plan capability (skip_mu).
+  mutable Mutex mu_;
+  std::map<Key, Entry> tries_ CQB_GUARDED_BY(mu_);
+  std::map<std::string, CachedPlan> plans_ CQB_GUARDED_BY(mu_);
   std::atomic<std::size_t> hits_{0};
   std::atomic<std::size_t> misses_{0};
-  std::atomic<std::size_t> patches_{0};
-  std::atomic<std::size_t> unpatches_{0};
-  std::atomic<std::size_t> rebuilds_{0};
   std::atomic<std::size_t> plan_hits_{0};
   std::atomic<std::size_t> plan_misses_{0};
 };

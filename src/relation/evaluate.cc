@@ -620,7 +620,7 @@ Status ValidateJoinSteps(const Query& query,
 }
 
 /// The one binary-join executor, behind kNaive, kJoinProject and
-/// ExecuteJoinPlan: left-deep hash joins in step order, each followed by a
+/// ExecuteJoinSteps: left-deep hash joins in step order, each followed by a
 /// projection onto the step's keep set. Bindings are tuples over
 /// `bound_vars` (parallel layout); var_slot maps a variable id to its
 /// position there (-1 when unbound), so per-atom binding lookups are O(1).

@@ -267,10 +267,12 @@ struct JoinPlanStep {
   std::vector<int> keep_vars;
 };
 
-/// The binary-join executor behind kNaive, kJoinProject and
-/// ExecuteJoinPlan (core/join_plan.h): left-deep hash joins in step order,
-/// each followed by a projection onto the step's keep set (deduplicated
-/// only when the step drops a variable). kNaive is the body-order step list
+/// The binary-join executor behind kNaive and kJoinProject, and the way to
+/// run an explicit JoinPlan (core/join_plan.h) as
+/// ExecuteJoinSteps(query, plan.steps, db, stats): left-deep hash joins in
+/// step order, each followed by a projection onto the step's keep set
+/// (deduplicated only when the step drops a variable). kNaive is the
+/// body-order step list
 /// keeping every bound variable; kJoinProject keeps only the variables the
 /// head or a later atom still needs. An empty binding set short-circuits
 /// the remaining steps (their relations are still resolved).

@@ -1,7 +1,8 @@
 #include "relation/generator.h"
 
-#include <map>
 #include <set>
+
+#include "relation/key_index.h"
 
 namespace cqbounds {
 
@@ -48,28 +49,23 @@ Database RandomDatabase(const Query& query,
       Relation* rel = db.FindMutable(fd.relation);
       if (rel == nullptr) continue;
       const ColumnStore& store = rel->store();
-      std::map<Tuple, Value> canonical;
       std::vector<Value> repaired_flat;
       repaired_flat.reserve(rel->size() * static_cast<std::size_t>(rel->arity()));
       bool rewrote = false;
-      Tuple key(fd.lhs.size());
       std::size_t live_rows = 0;
-      for (std::size_t row = 0; row < store.size(); ++row) {
-        if (!store.IsLive(row)) continue;
-        ++live_rows;
-        for (std::size_t i = 0; i < fd.lhs.size(); ++i) {
-          key[i] = store.ValueAt(row, fd.lhs[i]);
-        }
-        auto [it, inserted] = canonical.emplace(key, store.ValueAt(row, fd.rhs));
-        for (int c = 0; c < rel->arity(); ++c) {
-          Value v = store.ValueAt(row, c);
-          if (c == fd.rhs && !inserted && v != it->second) {
-            v = it->second;
-            rewrote = true;
-          }
-          repaired_flat.push_back(v);
-        }
-      }
+      ForEachFirstDependent(
+          store, fd.lhs, fd.rhs, [&](std::size_t row, Value first) {
+            ++live_rows;
+            for (int c = 0; c < rel->arity(); ++c) {
+              Value v = store.ValueAt(row, c);
+              if (c == fd.rhs && v != first) {
+                v = first;
+                rewrote = true;
+              }
+              repaired_flat.push_back(v);
+            }
+            return true;
+          });
       if (rewrote) {
         Relation repaired(rel->name(), rel->arity());
         repaired.InsertFlat(repaired_flat, live_rows);

@@ -177,6 +177,31 @@ class KeyCounts {
   Slots slots_;
 };
 
+/// The functional-dependency pass lhs -> rhs over `store`'s live rows, in
+/// row order: calls `visit(row, first)`, where `first` is the rhs value of
+/// the first live row carrying `row`'s lhs values (first row wins). A
+/// KeyCounts over the lhs key names each key by a dense id, and one
+/// first-dependent value per id sits in a vector. `visit` returns false to
+/// stop; the pass returns false iff it was stopped.
+template <typename Visit>
+bool ForEachFirstDependent(const ColumnStore& store,
+                           const std::vector<int>& lhs, int rhs,
+                           Visit&& visit) {
+  KeyCounts keys(lhs.size());
+  std::vector<Value> first;
+  std::vector<Value> key(lhs.size());
+  for (std::size_t row = 0; row < store.size(); ++row) {
+    if (!store.IsLive(row)) continue;
+    for (std::size_t i = 0; i < lhs.size(); ++i) {
+      key[i] = store.ValueAt(row, lhs[i]);
+    }
+    const std::uint32_t id = keys.Insert(key.data());
+    if (id == first.size()) first.push_back(store.ValueAt(row, rhs));
+    if (!visit(row, first[id])) return false;
+  }
+  return true;
+}
+
 }  // namespace cqbounds
 
 #endif  // CQBOUNDS_RELATION_KEY_INDEX_H_

@@ -1,8 +1,8 @@
 #include "relation/relation.h"
 
 #include <algorithm>
-#include <map>
-#include <set>
+
+#include "relation/key_index.h"
 
 namespace cqbounds {
 
@@ -11,12 +11,6 @@ bool Relation::Insert(const Tuple& t) {
   if (!store_.Append(t)) return false;
   ++generation_;
   return true;
-}
-
-std::size_t Relation::InsertBatch(const std::vector<Tuple>& batch) {
-  const std::size_t added = store_.AppendBatch(batch);
-  generation_ += added;
-  return added;
 }
 
 std::size_t Relation::InsertRows(const ColumnStore::RowSpan* spans,
@@ -163,18 +157,10 @@ std::vector<Value> Relation::ActiveDomain() const {
 bool Relation::SatisfiesFd(const std::vector<int>& lhs, int rhs) const {
   for (int pos : lhs) CQB_CHECK(pos >= 0 && pos < arity());
   CQB_CHECK(rhs >= 0 && rhs < arity());
-  std::map<Tuple, Value> seen;
-  Tuple key(lhs.size());
-  for (std::size_t row = 0; row < store_.size(); ++row) {
-    if (!store_.IsLive(row)) continue;
-    for (std::size_t i = 0; i < lhs.size(); ++i) {
-      key[i] = store_.ValueAt(row, lhs[i]);
-    }
-    const Value dependent = store_.ValueAt(row, rhs);
-    auto [it, inserted] = seen.emplace(key, dependent);
-    if (!inserted && it->second != dependent) return false;
-  }
-  return true;
+  return ForEachFirstDependent(
+      store_, lhs, rhs, [this, rhs](std::size_t row, Value first) {
+        return store_.ValueAt(row, rhs) == first;
+      });
 }
 
 }  // namespace cqbounds

@@ -17,6 +17,16 @@ namespace cqbounds {
 /// preserved so that iteration (and thus every algorithm built on it) is
 /// deterministic, and row ids are stable across appends.
 ///
+/// ## The journal
+///
+/// The relation holds the one journal of its changes: the generation
+/// counter, the generation of the last hard structural break, and a log of
+/// tombstoned row ids. Every generation unit is one appended physical row
+/// or one logged removal, so DeltasSince derives the appended rows of a
+/// window from generation numbers alone: they are the physical row suffix
+/// whose length is the window's generation span minus its removals. The
+/// store below keeps no second record of where appends began.
+///
 /// ## Concurrency contract (externally synchronized)
 ///
 /// Relation is deliberately lock-free and carries **no capability**: the
@@ -82,15 +92,10 @@ class Relation {
   /// arity does not match (a programming error, not a data error).
   bool Insert(const Tuple& t);
 
-  /// Bulk insert with a single dedup pass and one journal bump (the
-  /// generation advances by the number of rows actually added, sealed as
-  /// one column segment). Returns that count.
-  std::size_t InsertBatch(const std::vector<Tuple>& batch);
-
   /// The row-append door (ColumnStore::AppendRows): the rows of
   /// `spans[0..num_spans)`, in order, with one dedup pass, pre-sized once,
-  /// sealed as one segment and journaled as one generation bump by the
-  /// number of rows actually added. Returns that count.
+  /// and journaled as one generation bump by the number of rows actually
+  /// added. Returns that count.
   std::size_t InsertRows(const ColumnStore::RowSpan* spans,
                          std::size_t num_spans);
 

@@ -24,7 +24,6 @@ class CQB_CAPABILITY("mutex") Mutex {
 
   void Lock() CQB_ACQUIRE() { mu_.lock(); }
   void Unlock() CQB_RELEASE() { mu_.unlock(); }
-  bool TryLock() CQB_TRY_ACQUIRE(true) { return mu_.try_lock(); }
 
   /// The wrapped std::mutex, for interop with std waiting primitives
   /// (CondVar::Wait adopts it). Invisible to the analysis -- never lock it
@@ -77,7 +76,6 @@ class CondVar {
     lock.release();  // the caller still holds mu; do not unlock on scope exit
   }
 
-  void NotifyOne() { cv_.notify_one(); }
   void NotifyAll() { cv_.notify_all(); }
 
  private:

@@ -190,7 +190,7 @@ TEST(KeyRowsTest, ChainsMatchAHashMapReferenceInAscendingRowOrder) {
     }
     batch.push_back(t);
   }
-  store.AppendBatch(batch);
+  for (const Tuple& t : batch) store.Append(t);
   // Tombstone some rows; the keep test below leaves them unlinked.
   for (int i = 0; i < 500; ++i) {
     store.Erase(batch[rng.NextBelow(batch.size())]);
@@ -304,8 +304,8 @@ TEST(ColumnStoreTest, SharedDictionaryMakesRepeatedValuesCodeEqual) {
 TEST(ColumnStoreTest, BatchAppendDedupsWithinAndAgainstExisting) {
   ColumnStore store(2);
   store.Append({1, 2});
-  const std::size_t added = store.AppendBatch(
-      {{1, 2}, {3, 4}, {3, 4}, {5, 6}, {1, 2}});
+  const std::size_t added =
+      store.AppendFlat({1, 2, 3, 4, 3, 4, 5, 6, 1, 2}, 5);
   EXPECT_EQ(added, 2u);
   ASSERT_EQ(store.size(), 3u);
   EXPECT_EQ(store.Row(0), (Tuple{1, 2}));
@@ -330,8 +330,8 @@ TEST(ColumnStoreTest, FlatAppendMatchesTupleAppend) {
 TEST(ColumnStoreTest, AppendRowsMergesSpansInOrderIntoItsOwnDictionary) {
   // Two borrowed spans (as the pooled merge hands them over): rows land in
   // span order, duplicates within and across spans and against existing
-  // rows collapse to the first occurrence, values intern into the target's
-  // own dictionary, and the added rows seal exactly one segment.
+  // rows collapse to the first occurrence, and values intern into the
+  // target's own dictionary.
   ColumnStore target(2);
   target.Append({999, 100});  // pre-seeds a different code assignment
   const std::vector<Value> first = {100, 200, 300, 100, 100, 200};
@@ -344,14 +344,11 @@ TEST(ColumnStoreTest, AppendRowsMergesSpansInOrderIntoItsOwnDictionary) {
   EXPECT_EQ(target.Row(2), (Tuple{300, 100}));
   EXPECT_EQ(target.Row(3), (Tuple{7, 8}));
   EXPECT_EQ(target.dict().CodeOf(100), 1u);  // minted by the first Append
-  ASSERT_EQ(target.segments().size(), 2u);
-  EXPECT_EQ(target.segments()[1].begin, 1u);
-  EXPECT_EQ(target.segments()[1].end, 4u);
-  // No spans, or only empty ones, add nothing and seal nothing.
+  // No spans, or only empty ones, add nothing.
   EXPECT_EQ(target.AppendRows(nullptr, 0), 0u);
   const ColumnStore::RowSpan empty{first.data(), 0};
   EXPECT_EQ(target.AppendRows(&empty, 1), 0u);
-  EXPECT_EQ(target.segments().size(), 2u);
+  EXPECT_EQ(target.size(), 4u);
 
   // Nullary: rows carry no values, so the door never reads the pointer and
   // any number of rows collapses to the one empty tuple.
@@ -499,39 +496,7 @@ TEST(ColumnStoreTest, ClearOnAlreadyEmptyStoreIsIdempotent) {
   store.Clear();  // clearing a compacted-to-empty store
   store.Clear();
   EXPECT_TRUE(store.empty());
-  EXPECT_TRUE(store.segments().empty());
   EXPECT_TRUE(store.Append({1, 2}));
-}
-
-TEST(ColumnStoreTest, SegmentsJournalAppendsAndCollapseOnMutation) {
-  ColumnStore store(1);
-  store.Append({1});
-  store.Append({2});
-  ASSERT_EQ(store.segments().size(), 1u);  // single appends coalesce
-  EXPECT_EQ(store.segments()[0].begin, 0u);
-  EXPECT_EQ(store.segments()[0].end, 2u);
-
-  store.AppendBatch({{3}, {4}});  // a batch seals its own segment
-  ASSERT_EQ(store.segments().size(), 2u);
-  EXPECT_EQ(store.segments()[1].begin, 2u);
-  EXPECT_EQ(store.segments()[1].end, 4u);
-
-  store.Append({5});  // opens a fresh trailing append segment
-  ASSERT_EQ(store.segments().size(), 3u);
-  EXPECT_EQ(store.segments()[2].begin, 4u);
-  EXPECT_EQ(store.segments()[2].end, 5u);
-
-  // A tombstoning erase leaves the physical layout -- and the journal's
-  // segments -- untouched; only compaction collapses them.
-  ASSERT_EQ(store.Erase({1}), ColumnStore::EraseResult::kTombstoned);
-  ASSERT_EQ(store.segments().size(), 3u);
-  ASSERT_EQ(store.Erase({2}), ColumnStore::EraseResult::kCompacted);
-  ASSERT_EQ(store.segments().size(), 1u);
-  EXPECT_EQ(store.segments()[0].begin, 0u);
-  EXPECT_EQ(store.segments()[0].end, 3u);
-
-  store.Clear();
-  EXPECT_TRUE(store.segments().empty());
 }
 
 TEST(ColumnStoreTest, StatsComputeMinMaxDistinctPerColumn) {
@@ -564,7 +529,7 @@ TEST(RelationJournalTest, BatchInsertAdvancesGenerationByRowsAdded) {
   EXPECT_EQ(r.generation(), 1u);
 
   const std::uint64_t snapshot = r.generation();
-  EXPECT_EQ(r.InsertBatch({{1, 2}, {3, 4}, {5, 6}, {3, 4}}), 2u);
+  EXPECT_EQ(r.InsertFlat({1, 2, 3, 4, 5, 6, 3, 4}, 4), 2u);
   EXPECT_EQ(r.generation(), snapshot + 2);
 
   // The journal names exactly the batch's fresh rows, and no removal.
@@ -614,6 +579,50 @@ TEST(RelationJournalTest, DeltasSinceNamesBothSidesOfAMixedWindow) {
   // Clear is a structural break: older snapshots can no longer be served.
   r.Clear();
   EXPECT_FALSE(r.DeltasSince(snapshot, &ds));
+
+  // Single Inserts, then an InsertRows batch, then a tombstone and a
+  // re-append of the same tuple: from every watermark the journal names
+  // exactly the live rows appended after it, whichever door they came in
+  // by, and the re-append lands on a fresh physical row.
+  std::vector<std::uint64_t> watermarks = {r.generation()};
+  std::vector<std::size_t> rows_at = {r.store().size()};
+  const auto mark = [&] {
+    watermarks.push_back(r.generation());
+    rows_at.push_back(r.store().size());
+  };
+  for (Value v = 0; v < 10; ++v) {
+    EXPECT_TRUE(r.Insert({v}));  // physical rows 0..9
+    mark();
+  }
+  const std::vector<Value> batch = {20, 21, 5, 22, 20};
+  const ColumnStore::RowSpan span{batch.data(), batch.size()};
+  EXPECT_EQ(r.InsertRows(&span, 1), 3u);  // rows 10..12; 5 and 20 repeat
+  mark();
+  const std::size_t last_before_remove = watermarks.size() - 1;
+  EXPECT_TRUE(r.Remove({21}));  // tombstones row 11
+  ASSERT_EQ(r.compactions(), 0u);
+  mark();
+  EXPECT_TRUE(r.Insert({21}));  // re-append: physical row 13
+  mark();
+  ASSERT_EQ(r.store().size(), 14u);
+  for (std::size_t w = 0; w < watermarks.size(); ++w) {
+    ASSERT_TRUE(r.DeltasSince(watermarks[w], &ds)) << "watermark " << w;
+    std::vector<std::uint32_t> want_appended;
+    for (std::size_t row = rows_at[w]; row < r.store().size(); ++row) {
+      if (r.store().IsLive(row)) {
+        want_appended.push_back(static_cast<std::uint32_t>(row));
+      }
+    }
+    EXPECT_EQ(ds.appended_rows, want_appended) << "watermark " << w;
+    // Row 11 is named removed exactly by the windows that saw it live.
+    const bool saw_row_11 = rows_at[w] > 11 && w <= last_before_remove;
+    EXPECT_EQ(ds.removed_rows, saw_row_11 ? std::vector<std::uint32_t>{11}
+                                          : std::vector<std::uint32_t>{})
+        << "watermark " << w;
+  }
+  ASSERT_TRUE(r.DeltasSince(watermarks[10], &ds));  // after the singles
+  EXPECT_EQ(ds.appended_rows, (std::vector<std::uint32_t>{10, 12, 13}));
+  EXPECT_EQ(r.store().Row(13), (Tuple{21}));
 }
 
 TEST(RelationJournalTest, CompactionIsAStructuralBreakForDeltas) {
@@ -656,7 +665,7 @@ TEST(RelationJournalTest, FlatAndRowInsertsMatchTupleInserts) {
 
 TEST(RelationJournalTest, MaterializingAccessorMatchesStoreRows) {
   Relation r("R", 2);
-  r.InsertBatch({{2, 1}, {4, 3}});
+  r.InsertFlat({2, 1, 4, 3}, 2);
   const std::vector<Tuple> tuples = r.tuples();  // by value: a fresh decode
   ASSERT_EQ(tuples.size(), r.size());
   for (std::size_t row = 0; row < r.size(); ++row) {
@@ -717,7 +726,7 @@ TEST(RadixTrieBuildTest, MatchesSortedSetReferenceOnRandomRelations) {
 TEST(RadixTrieBuildTest, CountsBuildsAndNeverMaterializesTuples) {
   const TrieBuildStats before = GetTrieBuildStats();
   Relation r("R", 2);
-  r.InsertBatch({{1, 2}, {3, 4}, {5, 6}});
+  r.InsertFlat({1, 2, 3, 4, 5, 6}, 3);
   TrieIndex scratch(r, {{0}, {1}});
   r.Insert({7, 8});
   RowView appended(&r.store());

@@ -127,7 +127,7 @@ TEST(TrieIndexTest, PatchIsSetSemanticAndFiltersSelfInconsistent) {
 
   // The delta repeats a base key, adds one genuinely new key, and carries a
   // self-inconsistent tuple: the patch must grow by exactly one. A scratch
-  // relation stands in for the appended column segment.
+  // relation stands in for the appended rows.
   Relation d("D", 3);
   d.Insert({1, 2, 1});  // repeats a base key
   d.Insert({6, 7, 6});  // genuinely new

@@ -54,7 +54,7 @@ TEST(JoinPlanTest, ExecuteMatchesEvaluator) {
     Database db = RandomDatabase(*q, opts);
     auto plan = BuildJoinProjectPlan(*q);
     ASSERT_TRUE(plan.ok());
-    auto via_plan = ExecuteJoinPlan(*q, *plan, db, nullptr);
+    auto via_plan = ExecuteJoinSteps(*q, plan->steps, db, nullptr);
     auto reference = EvaluateQuery(*q, db, PlanKind::kNaive);
     ASSERT_TRUE(via_plan.ok()) << via_plan.status() << " " << text;
     ASSERT_TRUE(reference.ok());
@@ -88,7 +88,7 @@ TEST(JoinPlanTest, GreedyOrderAvoidsCartesianWhenConnected) {
     t->Insert({i, i});
   }
   EvalStats plan_stats, naive_stats;
-  auto via_plan = ExecuteJoinPlan(*q, *plan, db, &plan_stats);
+  auto via_plan = ExecuteJoinSteps(*q, plan->steps, db, &plan_stats);
   auto naive = EvaluateQuery(*q, db, PlanKind::kNaive, &naive_stats);
   ASSERT_TRUE(via_plan.ok());
   ASSERT_TRUE(naive.ok());
@@ -109,15 +109,15 @@ TEST(JoinPlanTest, RejectsCorruptPlans) {
 
   JoinPlan missing_step = *plan;
   missing_step.steps.pop_back();
-  EXPECT_FALSE(ExecuteJoinPlan(*q, missing_step, db, nullptr).ok());
+  EXPECT_FALSE(ExecuteJoinSteps(*q, missing_step.steps, db, nullptr).ok());
 
   JoinPlan drops_head = *plan;
   drops_head.steps.back().keep_vars.clear();
-  EXPECT_FALSE(ExecuteJoinPlan(*q, drops_head, db, nullptr).ok());
+  EXPECT_FALSE(ExecuteJoinSteps(*q, drops_head.steps, db, nullptr).ok());
 
   JoinPlan bad_index = *plan;
   bad_index.steps[0].atom_index = 99;
-  EXPECT_FALSE(ExecuteJoinPlan(*q, bad_index, db, nullptr).ok());
+  EXPECT_FALSE(ExecuteJoinSteps(*q, bad_index.steps, db, nullptr).ok());
 }
 
 TEST(JoinPlanTest, RejectsPlansThatRepeatOrReorderAtomsUnsoundly) {
@@ -134,14 +134,14 @@ TEST(JoinPlanTest, RejectsPlansThatRepeatOrReorderAtomsUnsoundly) {
   repeated.steps = {{0, {0, 1}}, {0, {0, 1}}};
   EvalStats stats;
   stats.output_size = 99;
-  auto bad = ExecuteJoinPlan(*q, repeated, db, &stats);
+  auto bad = ExecuteJoinSteps(*q, repeated.steps, db, &stats);
   ASSERT_FALSE(bad.ok());
   EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(stats.output_size, 0u);
 
   JoinPlan covering;
   covering.steps = {{1, {0, 1}}, {0, {0, 1}}};
-  auto good = ExecuteJoinPlan(*q, covering, db, nullptr);
+  auto good = ExecuteJoinSteps(*q, covering.steps, db, nullptr);
   ASSERT_TRUE(good.ok()) << good.status();
   EXPECT_EQ(good->size(), 1u);
   EXPECT_TRUE(good->Contains({1, 2}));
@@ -152,15 +152,16 @@ TEST(JoinPlanTest, RejectsPlansThatRepeatOrReorderAtomsUnsoundly) {
   ASSERT_TRUE(chain.ok());
   JoinPlan drops_join_var;
   drops_join_var.steps = {{0, {0}}, {1, {0}}};
-  auto lost = ExecuteJoinPlan(*chain, drops_join_var, db, nullptr);
+  auto lost = ExecuteJoinSteps(*chain, drops_join_var.steps, db, nullptr);
   ASSERT_FALSE(lost.ok());
   EXPECT_EQ(lost.status().code(), StatusCode::kInvalidArgument);
 
   // Keeping a variable no prefix atom binds is rejected too.
   JoinPlan unbound_keep;
   unbound_keep.steps = {{0, {0, 1}}, {1, {0, 1, 7}}};
-  EXPECT_EQ(ExecuteJoinPlan(*q, unbound_keep, db, nullptr).status().code(),
-            StatusCode::kInvalidArgument);
+  EXPECT_EQ(
+      ExecuteJoinSteps(*q, unbound_keep.steps, db, nullptr).status().code(),
+      StatusCode::kInvalidArgument);
 }
 
 TEST(JoinPlanTest, ToStringMentionsEveryStep) {
@@ -191,7 +192,7 @@ TEST_P(JoinPlanRandomTest, PlanEqualsEvaluatorOnRandomQueries) {
     Database db = RandomDatabase(q, db_opts);
     auto plan = BuildJoinProjectPlan(q);
     ASSERT_TRUE(plan.ok());
-    auto via_plan = ExecuteJoinPlan(q, *plan, db, nullptr);
+    auto via_plan = ExecuteJoinSteps(q, plan->steps, db, nullptr);
     auto reference = EvaluateQuery(q, db, PlanKind::kNaive);
     ASSERT_TRUE(via_plan.ok()) << q.ToString();
     ASSERT_TRUE(reference.ok());

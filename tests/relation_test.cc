@@ -134,6 +134,39 @@ TEST(RelationTest, SatisfiesFd) {
   EXPECT_TRUE(r.SatisfiesFd({0}, 2));
   EXPECT_FALSE(r.SatisfiesFd({1}, 2));  // 10 -> {100, 200}
   EXPECT_TRUE(r.SatisfiesFd({0, 1}, 2));
+
+  // Seeded: random relations with tombstones, every lhs of up to two
+  // positions (the empty one included), against a std::map reference.
+  Rng rng(20261022);
+  for (int round = 0; round < 40; ++round) {
+    Relation rel("R", 3);
+    const std::int64_t domain = 2 + static_cast<std::int64_t>(round % 5);
+    const std::size_t n = rng.NextBelow(60);
+    for (std::size_t i = 0; i < n; ++i) {
+      rel.Insert({rng.NextInRange(0, domain), rng.NextInRange(0, domain),
+                  rng.NextInRange(0, domain)});
+    }
+    const std::vector<Tuple> before = rel.tuples();
+    for (std::size_t i = 0; i < before.size() / 5; ++i) {
+      rel.Remove(before[rng.NextBelow(before.size())]);
+    }
+    const std::vector<std::vector<int>> lhss = {
+        {}, {0}, {1}, {2}, {0, 1}, {1, 2}, {2, 0}};
+    for (const std::vector<int>& lhs : lhss) {
+      for (int rhs = 0; rhs < 3; ++rhs) {
+        std::map<Tuple, Value> seen;
+        bool holds = true;
+        for (const Tuple& t : rel.tuples()) {
+          Tuple key;
+          for (int pos : lhs) key.push_back(t[pos]);
+          auto [it, inserted] = seen.emplace(key, t[rhs]);
+          if (!inserted && it->second != t[rhs]) holds = false;
+        }
+        EXPECT_EQ(rel.SatisfiesFd(lhs, rhs), holds)
+            << "round " << round << " rhs " << rhs;
+      }
+    }
+  }
 }
 
 TEST(DatabaseTest, RMaxOverQueryRelations) {
@@ -489,6 +522,46 @@ TEST(GeneratorTest, RandomDatabaseSatisfiesFds) {
     Database db = RandomDatabase(*q, opts);
     EXPECT_TRUE(db.CheckFds(*q).ok()) << "seed " << seed;
     EXPECT_GT(db.RMax(*q).ValueOrDie(), 0u);
+  }
+
+  // Seeded: the repair equals a std::map reference run over the same
+  // unrepaired draw (the query without its FDs draws identically), row for
+  // row: each rhs becomes the first-seen value of its lhs key, to a
+  // fixpoint.
+  auto bare = ParseQuery("Q(X,Y,Z) :- R(X,Y,Z), S(X,Y).");
+  ASSERT_TRUE(bare.ok());
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    RandomDatabaseOptions opts;
+    opts.seed = seed;
+    opts.tuples_per_relation = 200;
+    opts.domain_size = 5 + static_cast<std::int64_t>(seed % 4) * 5;
+    Database ref = RandomDatabase(*bare, opts);
+    bool changed = true;
+    while (changed) {
+      changed = false;
+      for (const FunctionalDependency& fd : q->fds()) {
+        Relation* rel = ref.FindMutable(fd.relation);
+        std::map<Tuple, Value> canonical;
+        Relation repaired(rel->name(), rel->arity());
+        for (Tuple t : rel->tuples()) {
+          Tuple key;
+          for (int pos : fd.lhs) key.push_back(t[pos]);
+          auto it = canonical.emplace(key, t[fd.rhs]).first;
+          if (t[fd.rhs] != it->second) {
+            t[fd.rhs] = it->second;
+            changed = true;
+          }
+          repaired.Insert(t);
+        }
+        *rel = std::move(repaired);
+      }
+    }
+    Database db = RandomDatabase(*q, opts);
+    for (const auto& [name, rel] : ref.relations()) {
+      ASSERT_NE(db.Find(name), nullptr);
+      EXPECT_EQ(db.Find(name)->tuples(), rel.tuples())
+          << "seed " << seed << " relation " << name;
+    }
   }
 }
 
